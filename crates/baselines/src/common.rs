@@ -3,12 +3,99 @@
 //! so worker churn is driven uniformly through the [`saps_core::Trainer`]
 //! interface instead of per-algorithm side doors.
 
+use crate::exchange::{reduce_stats, Exchange, Node, Payload, WorkerStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saps_core::{ConfigError, Executor, Worker};
+use saps_compress::codec;
+use saps_core::{ConfigError, Executor, RoundCtx, RoundReport, RoundTiming, Worker};
 use saps_data::{partition, Dataset};
+use saps_graph::topology;
+use saps_netsim::BandwidthMatrix;
 use saps_nn::Model;
 use saps_tensor::rng::{derive_seed, streams};
+use std::collections::BTreeMap;
+
+/// What [`Fleet::ps_client_phase`] hands the server-side half of a
+/// parameter-server round.
+pub(crate) struct ClientPhase {
+    /// `Σ loss` over every client's local steps.
+    pub loss: f64,
+    /// `Σ accuracy` over every client's local steps.
+    pub acc: f64,
+    /// Bytes each client's download occupied on the link, by rank.
+    pub down: BTreeMap<usize, u64>,
+}
+
+/// Constructor check: a compression ratio is a finite `c ≥ 1`.
+pub(crate) fn check_compression(what: &'static str, c: f64) -> Result<(), ConfigError> {
+    if c >= 1.0 && c.is_finite() {
+        return Ok(());
+    }
+    Err(ConfigError::invalid(
+        what,
+        format!("compression {c} must be a finite ratio >= 1"),
+    ))
+}
+
+/// Constructor check: a ring needs at least 3 workers.
+pub(crate) fn check_ring(what: &'static str, fleet: &Fleet) -> Result<(), ConfigError> {
+    if fleet.len() >= 3 {
+        return Ok(());
+    }
+    Err(ConfigError::invalid(
+        what,
+        format!("a ring needs at least 3 workers, got {}", fleet.len()),
+    ))
+}
+
+/// Constructor check: client sampling takes a fraction in `(0, 1]` of
+/// the fleet through at least one local step.
+pub(crate) fn check_sampling(
+    what: &'static str,
+    participation: f64,
+    local_steps: usize,
+) -> Result<(), ConfigError> {
+    if !(participation > 0.0 && participation <= 1.0) {
+        return Err(ConfigError::invalid(
+            what,
+            format!("participation {participation} must be in (0, 1]"),
+        ));
+    }
+    if local_steps == 0 {
+        return Err(ConfigError::invalid(what, "local_steps must be >= 1"));
+    }
+    Ok(())
+}
+
+/// A round's report: mean `(loss, accuracy)`, the priced timing, the
+/// fraction of an epoch advanced, and the `(mean, min)` bandwidth of the
+/// worker-to-worker links used (zeros for parameter-server rounds).
+pub(crate) fn round_report(
+    (mean_loss, mean_acc): (f32, f32),
+    timing: &RoundTiming,
+    epochs_advanced: f64,
+    (mean_link, min_link): (f64, f64),
+) -> RoundReport {
+    let mut rep = RoundReport::new();
+    rep.mean_loss = mean_loss;
+    rep.mean_acc = mean_acc;
+    rep.set_timing(timing);
+    rep.epochs_advanced = epochs_advanced;
+    rep.mean_link_bandwidth = mean_link;
+    rep.min_link_bandwidth = min_link;
+    rep
+}
+
+/// `(mean, min)` bandwidth over the links of the ring through `ranks`.
+pub(crate) fn ring_link_stats(bw: &BandwidthMatrix, ranks: &[usize]) -> (f64, f64) {
+    let ring = topology::ring_edges_over(ranks);
+    let mean = ring.iter().map(|&(a, b)| bw.get(a, b)).sum::<f64>() / ring.len() as f64;
+    let min = ring
+        .iter()
+        .map(|&(a, b)| bw.get(a, b))
+        .fold(f64::INFINITY, f64::min);
+    (mean, min)
+}
 
 /// `(index, item)` pairs for the items at `ranks`, in ascending index
 /// order regardless of the order of `ranks` — the shared selector
@@ -190,22 +277,37 @@ impl Fleet {
         select_ranked_mut(&mut self.workers, ranks)
     }
 
-    /// FedAvg-style client phase: every worker in `ranks` downloads
-    /// `global` and runs `steps` local SGD steps, fanned out across
-    /// `exec`; returns the `(Σ loss, Σ accuracy)` over all steps,
-    /// reduced in ascending-rank order (bit-identical at any thread
-    /// count). Shared by [`crate::FedAvg`] and [`crate::SFedAvg`].
-    pub fn local_steps_on(
+    /// The client phase FedAvg and S-FedAvg share. The server (pinned
+    /// at worker `server`) ships `model` to every client; each client
+    /// installs the copy *it* received and runs `steps` local SGD
+    /// steps, fanned out across the round executor; the per-client
+    /// sums cross to the coordinator, reduced in ascending-rank order
+    /// (bit-identical at any thread count).
+    pub(crate) fn ps_client_phase<X: Exchange>(
         &mut self,
-        exec: &Executor,
-        ranks: &[usize],
-        global: &[f32],
+        x: &mut X,
+        ctx: &mut RoundCtx<'_>,
+        server: usize,
+        clients: &[usize],
+        model: &[f32],
         steps: usize,
-    ) -> (f64, f64) {
+    ) -> Result<ClientPhase, X::Error> {
+        let n = self.n_params;
+        let mut down = BTreeMap::new();
+        for &r in clients {
+            ctx.traffic.record_download(r, codec::dense_bytes(n));
+            let sent = x.send(server, Node::Worker(r), Payload::Dense(model.to_vec()))?;
+            down.insert(r, sent);
+        }
+        let mut globals = BTreeMap::new();
+        for &r in clients {
+            globals.insert(r, x.recv_dense(Node::Worker(r), server, n)?);
+        }
         let (bs, lr) = (self.batch_size, self.lr);
-        let items = self.workers_mut_at(ranks);
-        let results = exec.par_map(items, |_, (_, w)| {
-            w.set_flat(global);
+        let globals = &globals;
+        let items = self.workers_mut_at(clients);
+        let per_client: Vec<WorkerStats> = ctx.exec.par_map(items, |_, (r, w)| {
+            w.set_flat(&globals[&r]);
             let mut l = 0.0f64;
             let mut a = 0.0f64;
             for _ in 0..steps {
@@ -213,55 +315,60 @@ impl Fleet {
                 l += li as f64;
                 a += ai as f64;
             }
-            (l, a)
+            (r, (l, a))
         });
-        results
-            .into_iter()
-            .fold((0.0, 0.0), |(l, a), (li, ai)| (l + li, a + ai))
+        let (loss, acc) = reduce_stats(x, &per_client)?;
+        Ok(ClientPhase { loss, acc, down })
     }
 
     /// Runs one local SGD step on every *active* worker, fanning out
-    /// across `exec`'s threads; returns the mean `(loss, accuracy)`.
-    /// The reduction runs in rank order, so the result is bit-identical
-    /// at any thread count.
-    pub fn sgd_step_all_on(&mut self, exec: &Executor) -> (f32, f32) {
+    /// across `exec`'s threads; returns each worker's `(loss,
+    /// accuracy)` in ascending rank order, so any reduction over them
+    /// is bit-identical at any thread count.
+    pub fn sgd_step_all_on(&mut self, exec: &Executor) -> Vec<WorkerStats> {
         let (bs, lr) = (self.batch_size, self.lr);
         let items = self.active_workers_mut();
-        let m = items.len();
-        let results = exec.par_map(items, |_, (_, w)| w.sgd_step(bs, lr));
-        Self::mean_loss_acc(&results, m)
-    }
-
-    /// [`Fleet::sgd_step_all_on`] on the calling thread only.
-    pub fn sgd_step_all(&mut self) -> (f32, f32) {
-        self.sgd_step_all_on(&Executor::sequential())
+        exec.par_map(items, |_, (r, w)| {
+            let (l, a) = w.sgd_step(bs, lr);
+            (r, (l as f64, a as f64))
+        })
     }
 
     /// Accumulates gradients on every *active* worker without stepping,
-    /// fanning out across `exec`'s threads; returns the mean
-    /// `(loss, accuracy)`.
-    pub fn accumulate_grads_all_on(&mut self, exec: &Executor) -> (f32, f32) {
+    /// fanning out across `exec`'s threads; returns each worker's
+    /// `(loss, accuracy)` in ascending rank order.
+    pub fn accumulate_grads_all_on(&mut self, exec: &Executor) -> Vec<WorkerStats> {
         let bs = self.batch_size;
         let items = self.active_workers_mut();
-        let m = items.len();
-        let results = exec.par_map(items, |_, (_, w)| w.accumulate_grads(bs));
-        Self::mean_loss_acc(&results, m)
+        exec.par_map(items, |_, (r, w)| {
+            let (l, a) = w.accumulate_grads(bs);
+            (r, (l as f64, a as f64))
+        })
     }
 
-    /// [`Fleet::accumulate_grads_all_on`] on the calling thread only.
-    pub fn accumulate_grads_all(&mut self) -> (f32, f32) {
-        self.accumulate_grads_all_on(&Executor::sequential())
-    }
-
-    fn mean_loss_acc(results: &[(f32, f32)], m: usize) -> (f32, f32) {
-        let mut loss = 0.0f64;
-        let mut acc = 0.0f64;
-        for &(l, a) in results {
-            loss += l as f64;
-            acc += a as f64;
-        }
-        let n = m.max(1) as f64;
-        ((loss / n) as f32, (acc / n) as f32)
+    /// Brings rejoining worker `rank` back in sync with its
+    /// replica-identical fleet: the fabric fetches a live replica's
+    /// parameters (a copy in memory, a chunked multi-peer download on
+    /// the wire) and the joiner installs them.
+    pub(crate) fn resync_joiner<X: Exchange>(
+        &mut self,
+        x: &mut X,
+        round: u64,
+        rank: usize,
+    ) -> Result<(), ConfigError> {
+        let peers: Vec<usize> = self
+            .active_ranks()
+            .into_iter()
+            .filter(|&r| r != rank)
+            .collect();
+        let workers = &self.workers;
+        let flat = x
+            .resync(round, rank, &peers, &|r| workers[r].flat())
+            .map_err(|e| ConfigError::invalid("joiner resync", e.to_string()))?;
+        let joiner = &mut self.workers[rank];
+        joiner.set_flat(&flat);
+        joiner.model_mut().zero_grads();
+        Ok(())
     }
 
     /// The mean of all *active* workers' flat models.
@@ -331,15 +438,18 @@ mod tests {
     #[test]
     fn sgd_step_all_diverges_replicas() {
         let mut f = fleet(3);
-        let (loss, acc) = f.sgd_step_all();
-        assert!(loss.is_finite() && (0.0..=1.0).contains(&acc));
+        let stats = f.sgd_step_all_on(&Executor::sequential());
+        assert_eq!(stats.iter().map(|s| s.0).collect::<Vec<_>>(), vec![0, 1, 2]);
+        for (_, (loss, acc)) in stats {
+            assert!(loss.is_finite() && (0.0..=1.0).contains(&acc));
+        }
         assert_ne!(f.worker(0).flat(), f.worker(1).flat());
     }
 
     #[test]
     fn average_model_is_midpoint_for_two_workers() {
         let mut f = fleet(2);
-        f.sgd_step_all();
+        f.sgd_step_all_on(&Executor::sequential());
         let avg = f.average_model();
         let a = f.worker(0).flat();
         let b = f.worker(1).flat();
@@ -365,10 +475,10 @@ mod tests {
     #[test]
     fn inactive_workers_freeze_and_drop_out_of_averages() {
         let mut f = fleet(4);
-        f.sgd_step_all();
+        f.sgd_step_all_on(&Executor::sequential());
         f.set_active(3, false, 2).unwrap();
         let frozen = f.worker(3).flat();
-        f.sgd_step_all();
+        f.sgd_step_all_on(&Executor::sequential());
         assert_eq!(f.worker(3).flat(), frozen, "inactive worker trained");
         assert_eq!(f.active_ranks(), vec![0, 1, 2]);
         // Average over the 3 active workers only.
@@ -390,7 +500,7 @@ mod tests {
         let mut par = fleet(5);
         let exec = Executor::new(saps_core::ParallelismPolicy::Threads(3));
         for _ in 0..3 {
-            let a = seq.sgd_step_all();
+            let a = seq.sgd_step_all_on(&Executor::sequential());
             let b = par.sgd_step_all_on(&exec);
             assert_eq!(a, b);
         }

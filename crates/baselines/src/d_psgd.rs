@@ -1,93 +1,111 @@
 //! D-PSGD: decentralized parallel SGD on a fixed ring \[25\].
 
+use crate::common::{check_ring, ring_link_stats, round_report};
+use crate::exchange::{mean_stats, run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
+use saps_compress::codec;
 use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
-use saps_graph::topology;
+use saps_netsim::BandwidthMatrix;
 
 /// D-PSGD on the fixed ring `0 → 1 → … → n−1 → 0` (the paper's Section
 /// IV-D setup): each round every worker runs one SGD step, sends its
 /// **full dense model** to both ring neighbours, and replaces its model
-/// with the three-way average `x_i ← (x_{i−1} + x_i + x_{i+1})/3`.
+/// with the three-way average `x_i ← (x_{i−1} + x_i + x_{i+1})/3` of its
+/// own model and the two it received.
 ///
 /// Per-worker traffic is `4·N` parameters per round (2 sends + 2
 /// receives) — the communication-hungry baseline of Fig. 4. Under churn
 /// the ring closes over the surviving active ranks in rank order.
-pub struct DPsgd {
+pub struct DPsgd<X: Exchange = Direct> {
     fleet: Fleet,
+    x: X,
     rounds: u64,
 }
 
 impl DPsgd {
-    /// Wraps a fleet (needs ≥ 3 workers for a proper ring).
+    /// Wraps a fleet (needs ≥ 3 workers for a proper ring); exchanges
+    /// stay in memory.
     pub fn new(fleet: Fleet) -> Result<Self, ConfigError> {
-        if fleet.len() < 3 {
-            return Err(ConfigError::invalid(
-                "DPsgd",
-                "D-PSGD ring needs at least 3 workers",
-            ));
-        }
-        Ok(DPsgd { fleet, rounds: 0 })
+        Self::over(fleet, Direct::new())
     }
 }
 
-impl Trainer for DPsgd {
+impl<X: Exchange> DPsgd<X> {
+    /// Wraps a fleet (≥ 3 workers) exchanging over `fabric`.
+    pub fn over(fleet: Fleet, fabric: X) -> Result<Self, ConfigError> {
+        check_ring("DPsgd", &fleet)?;
+        Ok(DPsgd {
+            fleet,
+            x: fabric,
+            rounds: 0,
+        })
+    }
+
+    /// Runs one round, surfacing fabric faults as typed errors.
+    pub fn try_step(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
+        let fleet = &mut self.fleet;
+        run_round(&mut self.x, &mut self.rounds, ctx, |x, _, ctx| {
+            let ranks = fleet.active_ranks();
+            let m = ranks.len();
+            let n = fleet.n_params();
+            let per_worker = fleet.sgd_step_all_on(&ctx.exec);
+            let stats = mean_stats(x, &per_worker)?;
+
+            // Every active worker sends its dense post-step model to
+            // both ring neighbours…
+            let (next, prev) = (
+                |i: usize| ranks[(i + 1) % m],
+                |i: usize| ranks[(i + m - 1) % m],
+            );
+            let mut transfers = Vec::with_capacity(2 * m);
+            for (i, &rank) in ranks.iter().enumerate() {
+                let model = fleet.worker(rank).flat();
+                for (peer, values) in [(next(i), model.clone()), (prev(i), model)] {
+                    let sent = x.send(rank, Node::Worker(peer), Payload::Dense(values))?;
+                    ctx.traffic.record_p2p(rank, peer, codec::dense_bytes(n));
+                    transfers.push((rank, peer, sent));
+                }
+            }
+            // …and mixes with the two it received. Every worker's mixed
+            // model depends only on delivered snapshots, so the mixing
+            // fans out (each lane rewrites its own worker in place).
+            let mut inbox = Vec::with_capacity(m);
+            for (i, &rank) in ranks.iter().enumerate() {
+                let at = Node::Worker(rank);
+                inbox.push((x.recv_dense(at, prev(i), n)?, x.recv_dense(at, next(i), n)?));
+            }
+            let inbox = &inbox;
+            let items = fleet.workers_mut_at(&ranks);
+            ctx.exec.par_map(items, |i, (_, w)| {
+                let (prev, next) = &inbox[i];
+                w.update_flat(|flat| {
+                    for k in 0..flat.len() {
+                        flat[k] = (prev[k] + flat[k] + next[k]) / 3.0;
+                    }
+                });
+            });
+            let timing = ctx.price_p2p(&transfers);
+
+            let links = ring_link_stats(ctx.bw, &ranks);
+            Ok(round_report(
+                stats,
+                &timing,
+                fleet.epochs_per_round(),
+                links,
+            ))
+        })
+    }
+}
+
+impl<X: Exchange> Trainer for DPsgd<X> {
     fn name(&self) -> &'static str {
         "D-PSGD"
     }
 
     fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport {
-        let bw = ctx.bw;
-        let exec = ctx.exec;
-        let traffic = &mut *ctx.traffic;
-        let ranks = self.fleet.active_ranks();
-        let m = ranks.len();
-        let (loss, acc) = self.fleet.sgd_step_all_on(&exec);
-
-        // Snapshot active models, then mix over the active ring:
-        // x_i = (x_{i-1} + x_i + x_{i+1})/3. Every worker's mixed model
-        // depends only on the immutable snapshots, so the mixing fans
-        // out too (each lane rewrites its own worker in place).
-        let snapshots: Vec<Vec<f32>> = ranks.iter().map(|&r| self.fleet.worker(r).flat()).collect();
-        let items = self.fleet.workers_mut_at(&ranks);
-        exec.par_map(items, |i, (_, w)| {
-            let prev = &snapshots[(i + m - 1) % m];
-            let next = &snapshots[(i + 1) % m];
-            w.update_flat(|flat| {
-                for k in 0..flat.len() {
-                    flat[k] = (prev[k] + flat[k] + next[k]) / 3.0;
-                }
-            });
-        });
-
-        // Traffic: every active worker sends its dense model to both ring
-        // neighbours.
-        let dense_bytes = 4 * self.fleet.n_params() as u64;
-        let mut transfers = Vec::with_capacity(2 * m);
-        for i in 0..m {
-            for peer in [ranks[(i + 1) % m], ranks[(i + m - 1) % m]] {
-                traffic.record_p2p(ranks[i], peer, dense_bytes);
-                transfers.push((ranks[i], peer, dense_bytes));
-            }
-        }
-        traffic.end_round();
-        let timing = ctx.price_p2p(&transfers);
-
-        let ring = topology::ring_edges_over(&ranks);
-        let mean_link = ring.iter().map(|&(a, b)| bw.get(a, b)).sum::<f64>() / ring.len() as f64;
-        let min_link = ring
-            .iter()
-            .map(|&(a, b)| bw.get(a, b))
-            .fold(f64::INFINITY, f64::min);
-        let mut rep = RoundReport::new();
-        rep.mean_loss = loss;
-        rep.mean_acc = acc;
-        rep.set_timing(&timing);
-        rep.epochs_advanced = self.fleet.epochs_per_round();
-        rep.mean_link_bandwidth = mean_link;
-        rep.min_link_bandwidth = min_link;
-        self.rounds += 1;
-        rep
+        self.try_step(ctx)
+            .unwrap_or_else(|e| panic!("D-PSGD round failed: {e}"))
     }
 
     fn evaluate(&mut self, val: &Dataset, max_samples: usize) -> f32 {
@@ -105,6 +123,10 @@ impl Trainer for DPsgd {
     fn set_worker_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
         // The ring needs at least 3 live workers to stay a ring.
         self.fleet.set_active(rank, active, 3)
+    }
+
+    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
+        self.x.refresh_bandwidth(bw);
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {

@@ -1,18 +1,20 @@
 //! DCD-PSGD: difference-compressed decentralized SGD on a ring \[26\].
 
+use crate::common::{check_compression, check_ring, ring_link_stats, round_report};
+use crate::exchange::{mean_stats, run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use saps_compress::codec;
 use saps_compress::topk::{densify, top_k_indices};
 use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
-use saps_graph::topology;
+use saps_netsim::BandwidthMatrix;
 
 /// DCD-PSGD on the fixed ring: each worker maintains a **replica** of
 /// each neighbour's model (the memory cost the paper criticizes) and
 /// broadcasts only the top `N/c` coordinates of the *difference* between
 /// its current model and what its neighbours last saw. Neighbours patch
-/// their replicas with the sparse difference, then every worker mixes
-/// with the replica average.
+/// their replicas with the sparse difference they received, then every
+/// worker mixes with the replica average.
 ///
 /// The paper finds DCD-PSGD tolerates only mild compression (`c = 4`);
 /// larger `c` diverges — our convergence tests confirm `c = 4` trains
@@ -20,35 +22,38 @@ use saps_graph::topology;
 /// closes over the surviving active ranks; per-rank broadcast replicas
 /// are kept, so a returning worker resumes from its last broadcast
 /// state.
-pub struct DcdPsgd {
+pub struct DcdPsgd<X: Exchange = Direct> {
     fleet: Fleet,
     compression: f64,
     /// `broadcast[r]` = the model state of worker `r` as known by its
-    /// neighbours (all neighbours see the same broadcast stream).
+    /// neighbours (all neighbours see the same broadcast stream, so one
+    /// copy stands for both; it is patched from the diff delivered to
+    /// `r`'s ring successor).
     broadcast: Vec<Vec<f32>>,
+    x: X,
     rounds: u64,
 }
 
 impl DcdPsgd {
-    /// Wraps a fleet with compression ratio `c` (the paper uses 4).
+    /// Wraps a fleet with compression ratio `c` (the paper uses 4);
+    /// exchanges stay in memory.
     pub fn new(fleet: Fleet, compression: f64) -> Result<Self, ConfigError> {
-        if fleet.len() < 3 {
-            return Err(ConfigError::invalid(
-                "DcdPsgd",
-                "DCD-PSGD ring needs at least 3 workers",
-            ));
-        }
-        if !(compression >= 1.0 && compression.is_finite()) {
-            return Err(ConfigError::invalid(
-                "DcdPsgd",
-                format!("compression {compression} must be a finite ratio >= 1"),
-            ));
-        }
+        Self::over(fleet, compression, Direct::new())
+    }
+}
+
+impl<X: Exchange> DcdPsgd<X> {
+    /// Wraps a fleet (≥ 3 workers) with compression ratio `c`,
+    /// exchanging over `fabric`.
+    pub fn over(fleet: Fleet, compression: f64, fabric: X) -> Result<Self, ConfigError> {
+        check_ring("DcdPsgd", &fleet)?;
+        check_compression("DcdPsgd", compression)?;
         let broadcast = (0..fleet.len()).map(|r| fleet.worker(r).flat()).collect();
         Ok(DcdPsgd {
             fleet,
             compression,
             broadcast,
+            x: fabric,
             rounds: 0,
         })
     }
@@ -57,89 +62,104 @@ impl DcdPsgd {
     pub fn compression(&self) -> f64 {
         self.compression
     }
+
+    /// Runs one round, surfacing fabric faults as typed errors.
+    pub fn try_step(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
+        let fleet = &mut self.fleet;
+        let broadcast = &mut self.broadcast;
+        let compression = self.compression;
+        run_round(&mut self.x, &mut self.rounds, ctx, |x, _, ctx| {
+            let ranks = fleet.active_ranks();
+            let m = ranks.len();
+            let n = fleet.n_params();
+            let k = ((n as f64 / compression).round() as usize).max(1);
+            let per_worker = fleet.sgd_step_all_on(&ctx.exec);
+            let stats = mean_stats(x, &per_worker)?;
+
+            // Each active worker compresses its drift against its
+            // broadcast state (read only — the patch is applied from the
+            // delivered diffs below). Per-worker work, so the diff +
+            // top-k fans out with the compute phase.
+            let diffs: Vec<(Vec<u32>, Vec<f32>)> = {
+                let (fleet, broadcast) = (&*fleet, &*broadcast);
+                ctx.exec.par_map(ranks.clone(), |_, r| {
+                    let x = fleet.worker(r).flat();
+                    let diff: Vec<f32> = x.iter().zip(&broadcast[r]).map(|(a, b)| a - b).collect();
+                    let idx = top_k_indices(&diff, k);
+                    let vals: Vec<f32> = idx.iter().map(|&i| diff[i as usize]).collect();
+                    (idx, vals)
+                })
+            };
+            // Worker rows charge what the trainers always charged: the
+            // last active worker's payload size on every link (all
+            // diffs keep the same k coordinates).
+            let payload_bytes = diffs
+                .last()
+                .map_or(0, |(idx, _)| codec::sparse_iv_bytes(idx.len()));
+            let (next, prev) = (
+                |i: usize| ranks[(i + 1) % m],
+                |i: usize| ranks[(i + m - 1) % m],
+            );
+            let mut transfers = Vec::with_capacity(2 * m);
+            for (i, (indices, values)) in diffs.into_iter().enumerate() {
+                let copy = (indices.clone(), values.clone());
+                for (peer, (indices, values)) in [(next(i), copy), (prev(i), (indices, values))] {
+                    let diff = Payload::Sparse { indices, values };
+                    let sent = x.send(ranks[i], Node::Worker(peer), diff)?;
+                    ctx.traffic.record_p2p(ranks[i], peer, payload_bytes);
+                    transfers.push((ranks[i], peer, sent));
+                }
+            }
+            // Every worker receives both neighbours' diffs. The one from
+            // its predecessor patches that predecessor's broadcast
+            // replica — densified first, so untouched coordinates see
+            // the `+= 0.0` they always did; the successor's copy is the
+            // same stream, already applied by *its* successor.
+            for i in 0..m {
+                let at = Node::Worker(ranks[i]);
+                let (indices, values) = x.recv_sparse(at, prev(i), n)?;
+                let patch = densify(n, &indices, &values);
+                for (b, p) in broadcast[prev(i)].iter_mut().zip(&patch) {
+                    *b += p;
+                }
+                x.recv_sparse(at, next(i), n)?;
+            }
+
+            // Mixing with replica averages over the active ring:
+            // x_i ← (x̂_{i−1} + x_i + x̂_{i+1})/3. Reads only the (now
+            // settled) broadcast replicas, writes only worker i —
+            // parallel per lane.
+            let broadcast = &*broadcast;
+            let items = fleet.workers_mut_at(&ranks);
+            ctx.exec.par_map(items, |i, (_, w)| {
+                let (prev, next) = (&broadcast[prev(i)], &broadcast[next(i)]);
+                w.update_flat(|flat| {
+                    for p in 0..flat.len() {
+                        flat[p] = (prev[p] + flat[p] + next[p]) / 3.0;
+                    }
+                });
+            });
+            let timing = ctx.price_p2p(&transfers);
+
+            let links = ring_link_stats(ctx.bw, &ranks);
+            Ok(round_report(
+                stats,
+                &timing,
+                fleet.epochs_per_round(),
+                links,
+            ))
+        })
+    }
 }
 
-impl Trainer for DcdPsgd {
+impl<X: Exchange> Trainer for DcdPsgd<X> {
     fn name(&self) -> &'static str {
         "DCD-PSGD"
     }
 
     fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport {
-        let bw = ctx.bw;
-        let exec = ctx.exec;
-        let traffic = &mut *ctx.traffic;
-        let ranks = self.fleet.active_ranks();
-        let m = ranks.len();
-        let n_params = self.fleet.n_params();
-        let k = ((n_params as f64 / self.compression).round() as usize).max(1);
-        let (loss, acc) = self.fleet.sgd_step_all_on(&exec);
-
-        // Each active worker compresses (x_i − broadcast_i) and updates
-        // its own broadcast state; neighbours apply the identical patch.
-        // Worker r touches only broadcast[r], so the diff + top-k fans
-        // out with the compute phase.
-        let payload_nnz = {
-            let fleet = &self.fleet;
-            let bcast_items = crate::select_ranked_mut(&mut self.broadcast, &ranks);
-            exec.par_map(bcast_items, |_, (r, bcast)| {
-                let x = fleet.worker(r).flat();
-                let diff: Vec<f32> = x.iter().zip(bcast.iter()).map(|(a, b)| a - b).collect();
-                let idx = top_k_indices(&diff, k);
-                let vals: Vec<f32> = idx.iter().map(|&i| diff[i as usize]).collect();
-                let sparse = densify(n_params, &idx, &vals);
-                for (b, s) in bcast.iter_mut().zip(&sparse) {
-                    *b += s;
-                }
-                idx.len()
-            })
-        };
-        let payload_bytes = payload_nnz
-            .last()
-            .map_or(0, |&nnz| codec::sparse_iv_bytes(nnz));
-
-        // Mixing with replica averages over the active ring:
-        // x_i ← (x̂_{i−1} + x_i + x̂_{i+1})/3. Reads only the (now
-        // settled) broadcast replicas, writes only worker i — parallel
-        // per lane.
-        let broadcast = &self.broadcast;
-        let items = self.fleet.workers_mut_at(&ranks);
-        exec.par_map(items, |i, (_, w)| {
-            let prev = &broadcast[ranks[(i + m - 1) % m]];
-            let next = &broadcast[ranks[(i + 1) % m]];
-            w.update_flat(|flat| {
-                for p in 0..flat.len() {
-                    flat[p] = (prev[p] + flat[p] + next[p]) / 3.0;
-                }
-            });
-        });
-
-        // Traffic: each active worker sends its sparse diff to both ring
-        // neighbours.
-        let mut transfers = Vec::with_capacity(2 * m);
-        for i in 0..m {
-            for peer in [ranks[(i + 1) % m], ranks[(i + m - 1) % m]] {
-                traffic.record_p2p(ranks[i], peer, payload_bytes);
-                transfers.push((ranks[i], peer, payload_bytes));
-            }
-        }
-        traffic.end_round();
-        let timing = ctx.price_p2p(&transfers);
-
-        let ring = topology::ring_edges_over(&ranks);
-        let mean_link = ring.iter().map(|&(a, b)| bw.get(a, b)).sum::<f64>() / ring.len() as f64;
-        let min_link = ring
-            .iter()
-            .map(|&(a, b)| bw.get(a, b))
-            .fold(f64::INFINITY, f64::min);
-        let mut rep = RoundReport::new();
-        rep.mean_loss = loss;
-        rep.mean_acc = acc;
-        rep.set_timing(&timing);
-        rep.epochs_advanced = self.fleet.epochs_per_round();
-        rep.mean_link_bandwidth = mean_link;
-        rep.min_link_bandwidth = min_link;
-        self.rounds += 1;
-        rep
+        self.try_step(ctx)
+            .unwrap_or_else(|e| panic!("DCD-PSGD round failed: {e}"))
     }
 
     fn evaluate(&mut self, val: &Dataset, max_samples: usize) -> f32 {
@@ -163,6 +183,10 @@ impl Trainer for DcdPsgd {
             self.broadcast[rank] = self.fleet.worker(rank).flat();
         }
         Ok(())
+    }
+
+    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
+        self.x.refresh_bandwidth(bw);
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {

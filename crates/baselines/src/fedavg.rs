@@ -1,11 +1,15 @@
 //! FedAvg: the canonical parameter-server federated-learning baseline.
 
+use crate::common::{check_sampling, round_report, ClientPhase};
+use crate::exchange::{run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use saps_compress::codec;
 use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
+use saps_netsim::BandwidthMatrix;
 use saps_tensor::rng::{derive_seed, streams};
 
 /// FedAvg hyper-parameters.
@@ -28,7 +32,8 @@ impl Default for FedAvgConfig {
 
 /// FedAvg \[35\]: each round the server samples a fraction of the *active*
 /// workers, ships them the global model, lets them run several local SGD
-/// steps, and averages their uploaded models.
+/// steps from the copy they received, and averages the models they
+/// upload, in ascending client order.
 ///
 /// The server is placed at the best-connected node
 /// ([`saps_netsim::BandwidthMatrix::best_server`]) exactly as the paper's
@@ -39,31 +44,35 @@ impl Default for FedAvgConfig {
 /// exactly the dynamic-network comparisons. Churn is trivial for a PS
 /// algorithm: inactive workers simply drop out of the sampling pool (the
 /// server model is the source of truth).
-pub struct FedAvg {
+pub struct FedAvg<X: Exchange = Direct> {
     fleet: Fleet,
     cfg: FedAvgConfig,
     server_model: Vec<f32>,
     /// Pinned server placement (decided on the first round).
     server: Option<usize>,
     rng: StdRng,
+    x: X,
     rounds: u64,
 }
 
 impl FedAvg {
-    /// Wraps a fleet. `seed` drives client sampling.
+    /// Wraps a fleet; exchanges stay in memory. `seed` drives client
+    /// sampling.
     pub fn new(fleet: Fleet, cfg: FedAvgConfig, seed: u64) -> Result<Self, ConfigError> {
-        if !(cfg.participation > 0.0 && cfg.participation <= 1.0) {
-            return Err(ConfigError::invalid(
-                "FedAvgConfig",
-                format!("participation {} must be in (0, 1]", cfg.participation),
-            ));
-        }
-        if cfg.local_steps == 0 {
-            return Err(ConfigError::invalid(
-                "FedAvgConfig",
-                "local_steps must be >= 1",
-            ));
-        }
+        Self::over(fleet, cfg, seed, Direct::new())
+    }
+}
+
+impl<X: Exchange> FedAvg<X> {
+    /// Wraps a fleet exchanging over `fabric`. `seed` drives client
+    /// sampling.
+    pub fn over(
+        fleet: Fleet,
+        cfg: FedAvgConfig,
+        seed: u64,
+        fabric: X,
+    ) -> Result<Self, ConfigError> {
+        check_sampling("FedAvgConfig", cfg.participation, cfg.local_steps)?;
         let server_model = fleet.worker(0).flat();
         Ok(FedAvg {
             fleet,
@@ -71,6 +80,7 @@ impl FedAvg {
             server_model,
             server: None,
             rng: StdRng::seed_from_u64(derive_seed(seed, 0, streams::CLIENT_SAMPLE)),
+            x: fabric,
             rounds: 0,
         })
     }
@@ -90,62 +100,54 @@ impl FedAvg {
         ranks.sort_unstable();
         ranks
     }
+
+    /// Runs one round, surfacing fabric faults as typed errors.
+    pub fn try_step(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
+        let clients = self.sample_clients();
+        let server = *self.server.get_or_insert_with(|| ctx.bw.best_server());
+        let (fleet, server_model, cfg) = (&mut self.fleet, &mut self.server_model, self.cfg);
+        run_round(&mut self.x, &mut self.rounds, ctx, |x, _, ctx| {
+            let n = fleet.n_params();
+            let ClientPhase { loss, acc, down } =
+                fleet.ps_client_phase(x, ctx, server, &clients, server_model, cfg.local_steps)?;
+            let steps = (clients.len() * cfg.local_steps) as f64;
+
+            // Dense uploads, averaged at the server from the copies it
+            // received.
+            let mut transfers = Vec::with_capacity(clients.len());
+            for &r in &clients {
+                let model = Payload::Dense(fleet.worker(r).flat());
+                transfers.push((r, x.send(r, Node::Worker(server), model)?, down[&r]));
+                ctx.traffic.record_upload(r, codec::dense_bytes(n));
+            }
+            let mut accum = vec![0.0f32; n];
+            for &r in &clients {
+                let flat = x.recv_dense(Node::Worker(server), r, n)?;
+                for (a, v) in accum.iter_mut().zip(&flat) {
+                    *a += v;
+                }
+            }
+            let inv = 1.0 / clients.len() as f32;
+            for a in &mut accum {
+                *a *= inv;
+            }
+            *server_model = accum;
+            let timing = ctx.price_ps(server, &transfers);
+            let stats = ((loss / steps) as f32, (acc / steps) as f32);
+            let epochs = fleet.epochs_per_round() * cfg.local_steps as f64 * cfg.participation;
+            Ok(round_report(stats, &timing, epochs, (0.0, 0.0)))
+        })
+    }
 }
 
-impl Trainer for FedAvg {
+impl<X: Exchange> Trainer for FedAvg<X> {
     fn name(&self) -> &'static str {
         "FedAvg"
     }
 
     fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport {
-        let bw = ctx.bw;
-        let exec = ctx.exec;
-        let clients = self.sample_clients();
-        let server = *self.server.get_or_insert_with(|| bw.best_server());
-        let n_params = self.fleet.n_params();
-        let dense_bytes = 4 * n_params as u64;
-
-        for &r in &clients {
-            ctx.traffic.record_download(r, dense_bytes);
-        }
-
-        // Each selected client pulls the global model and runs its local
-        // steps — fully independent per client, fanned out across the
-        // round executor; the loss reduction runs in client-rank order.
-        let (loss, acc) =
-            self.fleet
-                .local_steps_on(&exec, &clients, &self.server_model, self.cfg.local_steps);
-        let steps = (clients.len() * self.cfg.local_steps) as f64;
-
-        let mut accum = vec![0.0f32; n_params];
-        for &r in &clients {
-            let flat = self.fleet.worker(r).flat();
-            for (a, v) in accum.iter_mut().zip(&flat) {
-                *a += v;
-            }
-            ctx.traffic.record_upload(r, dense_bytes);
-        }
-        let inv = 1.0 / clients.len() as f32;
-        for a in &mut accum {
-            *a *= inv;
-        }
-        self.server_model = accum;
-        ctx.traffic.end_round();
-
-        let transfers: Vec<(usize, u64, u64)> = clients
-            .iter()
-            .map(|&r| (r, dense_bytes, dense_bytes))
-            .collect();
-        let timing = ctx.price_ps(server, &transfers);
-
-        let mut rep = RoundReport::new();
-        rep.mean_loss = (loss / steps) as f32;
-        rep.mean_acc = (acc / steps) as f32;
-        rep.set_timing(&timing);
-        rep.epochs_advanced =
-            self.fleet.epochs_per_round() * self.cfg.local_steps as f64 * self.cfg.participation;
-        self.rounds += 1;
-        rep
+        self.try_step(ctx)
+            .unwrap_or_else(|e| panic!("FedAvg round failed: {e}"))
     }
 
     fn evaluate(&mut self, val: &Dataset, max_samples: usize) -> f32 {
@@ -163,6 +165,10 @@ impl Trainer for FedAvg {
 
     fn set_worker_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
         self.fleet.set_active(rank, active, 2)
+    }
+
+    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
+        self.x.refresh_bandwidth(bw);
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {

@@ -12,11 +12,23 @@
 //! [`saps_netsim::TrafficAccountant`] and computes round time from the
 //! bandwidth matrix, so Figs. 4-6 and Table IV compare like for like.
 //!
+//! **One implementation, any fabric.** Each trainer is generic over an
+//! [`Exchange`] — a small send/receive interface for typed
+//! [`Payload`]s — and every value a worker consumes from a peer is the
+//! value the fabric delivered to it. [`Direct`] (the default) hands
+//! values over in memory; `saps_cluster::Framed` carries the same
+//! trainers over real `saps-proto` frames. There is no second, wire-side
+//! copy of any algorithm, so a wire run is bit-identical to an
+//! in-memory run by construction: `PsgdAllReduce::new(fleet)` and
+//! `PsgdAllReduce::over(fleet, Framed::loopback(tap))` are the same
+//! code.
+//!
 //! Construction goes through [`registry`] — the full eight-algorithm
 //! [`saps_core::AlgorithmRegistry`] behind the
-//! [`saps_core::Experiment`] driver. Worker churn is first-class: every
-//! baseline honours [`saps_core::Trainer::set_worker_active`] through
-//! the [`Fleet`]'s membership mask.
+//! [`saps_core::Experiment`] driver — or, for another fabric,
+//! [`register_baselines`]. Worker churn is first-class: every baseline
+//! honours [`saps_core::Trainer::set_worker_active`] through the
+//! [`Fleet`]'s membership mask.
 
 #![warn(missing_docs)]
 
@@ -24,6 +36,7 @@ pub mod allreduce;
 mod common;
 mod d_psgd;
 mod dcd_psgd;
+mod exchange;
 mod fedavg;
 mod psgd;
 mod random_choose;
@@ -34,6 +47,7 @@ mod topk_psgd;
 pub use common::{select_ranked_mut, Fleet};
 pub use d_psgd::DPsgd;
 pub use dcd_psgd::DcdPsgd;
+pub use exchange::{Direct, Exchange, Node, Payload, Shape};
 pub use fedavg::{FedAvg, FedAvgConfig};
 pub use psgd::PsgdAllReduce;
 pub use random_choose::RandomChoose;

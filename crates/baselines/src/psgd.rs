@@ -1,103 +1,168 @@
 //! PSGD with ring all-reduce — the classical dense baseline.
 
-use crate::allreduce::{ring_reduce_mean, ring_send_bytes};
+use crate::allreduce::{allgather_chunk, chunk_range, reduce_scatter_chunk, ring_send_bytes};
+use crate::common::{ring_link_stats, round_report};
+use crate::exchange::{mean_stats, run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
-use saps_graph::topology;
-use saps_tensor::scratch::BufferPool;
+use saps_netsim::BandwidthMatrix;
 
 /// Synchronous parallel SGD: every round the active workers' gradients
 /// are globally averaged by a ring all-reduce and each replica applies
 /// the same update (Eq. 1), so replicas stay bit-identical.
 ///
-/// Traffic: a ring all-reduce moves `2·(n−1)/n · N` parameters through
-/// each worker per round (reduce-scatter + all-gather), ≈ the `2N` of
-/// Table I. The mean is folded in the exact chunk-rotated order the
-/// ring schedule produces (see [`crate::allreduce`]), so the cluster
-/// wire driver that really frames every hop reproduces these bits.
-/// A worker that re-joins after churn is resynced from a live replica,
-/// preserving the bit-identical invariant.
-pub struct PsgdAllReduce {
+/// The all-reduce really runs hop by hop over the fabric `X`: each
+/// reduce-scatter and all-gather step sends the chunk a position
+/// forwards to its ring successor, which folds what it *received* in
+/// the chunk-rotated order [`crate::allreduce`] pins
+/// ([`crate::allreduce::ring_reduce_mean`] is the closed form the unit
+/// tests compare against). Traffic: `2·(n−1)/n · N` parameters through
+/// each worker per round, ≈ the `2N` of Table I. A worker that re-joins
+/// after churn is resynced from a live replica, preserving the
+/// bit-identical invariant.
+pub struct PsgdAllReduce<X: Exchange = Direct> {
     fleet: Fleet,
-    /// Scratch for the per-round mean gradient, reused across rounds.
-    pool: BufferPool,
+    x: X,
     rounds: u64,
 }
 
 impl PsgdAllReduce {
-    /// Wraps a fleet.
+    /// Wraps a fleet; exchanges stay in memory.
     pub fn new(fleet: Fleet) -> Result<Self, ConfigError> {
+        Self::over(fleet, Direct::new())
+    }
+}
+
+impl<X: Exchange> PsgdAllReduce<X> {
+    /// Wraps a fleet exchanging over `fabric`.
+    pub fn over(fleet: Fleet, fabric: X) -> Result<Self, ConfigError> {
         Ok(PsgdAllReduce {
             fleet,
-            pool: BufferPool::new(),
+            x: fabric,
             rounds: 0,
+        })
+    }
+
+    /// The worker fleet.
+    pub fn fleet(&self) -> &Fleet {
+        &self.fleet
+    }
+
+    /// The fabric the exchanges run over.
+    pub fn fabric(&self) -> &X {
+        &self.x
+    }
+
+    /// Runs one round, surfacing fabric faults as typed errors.
+    pub fn try_step(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
+        let fleet = &mut self.fleet;
+        run_round(&mut self.x, &mut self.rounds, ctx, |x, _, ctx| {
+            let ranks = fleet.active_ranks();
+            let m = ranks.len();
+            let n = fleet.n_params();
+            let per_worker = fleet.accumulate_grads_all_on(&ctx.exec);
+            let stats = mean_stats(x, &per_worker)?;
+
+            // One buffer per ring position (= ascending active rank). It
+            // starts as the position's gradient; the reduce-scatter reads
+            // each of its chunks exactly once, and the all-gather then
+            // assembles the mean into it in place.
+            let mut bufs: Vec<Vec<f32>> = ranks
+                .iter()
+                .map(|&r| fleet.worker(r).model().flat_grads())
+                .collect();
+            let succ = |i: usize| (i + 1) % m;
+            // `carry[i]` is the chunk position i forwards next, `sent[i]`
+            // the bytes it has put on its successor link.
+            let mut sent = vec![0u64; m];
+            let mut forward = |x: &mut X, carry: &mut [Vec<f32>]| {
+                for i in 0..m {
+                    let chunk = Payload::Dense(std::mem::take(&mut carry[i]));
+                    sent[i] += x.send(ranks[i], Node::Worker(ranks[succ(i)]), chunk)?;
+                }
+                Ok(())
+            };
+
+            // Reduce-scatter: m−1 hops. Position i forwards its running
+            // partial of chunk `reduce_scatter_chunk(m, i, s)`; the
+            // successor folds received + own (the pinned fold order) and
+            // forwards the result on the next hop.
+            let mut carry: Vec<Vec<f32>> = (0..m)
+                .map(|i| bufs[i][chunk_range(n, m, reduce_scatter_chunk(m, i, 0))].to_vec())
+                .collect();
+            for s in 0..m - 1 {
+                forward(x, &mut carry)?;
+                for i in 0..m {
+                    let dst = succ(i);
+                    let range = chunk_range(n, m, reduce_scatter_chunk(m, i, s));
+                    let mut partial =
+                        x.recv_dense(Node::Worker(ranks[dst]), ranks[i], range.len())?;
+                    for (p, own) in partial.iter_mut().zip(&bufs[dst][range]) {
+                        *p += own;
+                    }
+                    carry[dst] = partial;
+                }
+            }
+            // Each chunk completed at its owner — position i now carries
+            // chunk (i+1) mod m; scale to the mean there.
+            let inv = 1.0 / m as f32;
+            for (i, chunk) in carry.iter_mut().enumerate() {
+                chunk.iter_mut().for_each(|v| *v *= inv);
+                bufs[i][chunk_range(n, m, succ(i))].copy_from_slice(chunk);
+            }
+            // All-gather: m−1 hops forwarding the scaled chunks around
+            // the ring until every position holds the full mean.
+            for s in 0..m - 1 {
+                forward(x, &mut carry)?;
+                for i in 0..m {
+                    let dst = succ(i);
+                    let range = chunk_range(n, m, allgather_chunk(m, i, s));
+                    let chunk = x.recv_dense(Node::Worker(ranks[dst]), ranks[i], range.len())?;
+                    bufs[dst][range].copy_from_slice(&chunk);
+                    carry[dst] = chunk;
+                }
+            }
+            // Identical update on every active replica, each lane
+            // applying the (bit-identical) mean it assembled itself.
+            let lr = fleet.lr;
+            let means = &bufs;
+            let items = fleet.workers_mut_at(&ranks);
+            ctx.exec.par_map(items, |i, (_, w)| {
+                w.add_scaled(-lr, &means[i]);
+                w.model_mut().zero_grads();
+            });
+
+            // Worker rows: position i forwards 2(m−1) chunks to its ring
+            // successor (chunk sizes vary by at most one element when
+            // m ∤ N).
+            for i in 0..m {
+                let bytes = ring_send_bytes(n, m, i);
+                ctx.traffic.record_p2p(ranks[i], ranks[succ(i)], bytes);
+            }
+            // The bytes through the busiest position over the slowest
+            // active ring link gate every all-reduce step.
+            let busiest = sent.iter().copied().max().unwrap_or(0);
+            let timing = ctx.price_allreduce(&ranks, busiest);
+            let links = ring_link_stats(ctx.bw, &ranks);
+            Ok(round_report(
+                stats,
+                &timing,
+                fleet.epochs_per_round(),
+                links,
+            ))
         })
     }
 }
 
-impl Trainer for PsgdAllReduce {
+impl<X: Exchange> Trainer for PsgdAllReduce<X> {
     fn name(&self) -> &'static str {
         "PSGD"
     }
 
     fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport {
-        let bw = ctx.bw;
-        let exec = ctx.exec;
-        let traffic = &mut *ctx.traffic;
-        let ranks = self.fleet.active_ranks();
-        let m = ranks.len();
-        let (loss, acc) = self.fleet.accumulate_grads_all_on(&exec);
-
-        // Global gradient average via the ring all-reduce schedule: one
-        // gradient per ring position (= ascending active rank), folded
-        // per chunk exactly as the hop-by-hop wire exchange folds it.
-        let n_params = self.fleet.n_params();
-        let grads: Vec<Vec<f32>> = ranks
-            .iter()
-            .map(|&r| self.fleet.worker(r).model().flat_grads())
-            .collect();
-        let mut mean_grad = self.pool.take_zeroed(n_params);
-        ring_reduce_mean(&grads, &mut mean_grad);
-        // Identical update on every active replica, fanned out (each
-        // lane reads the shared mean and rewrites its own replica).
-        let lr = self.fleet.lr;
-        let mean = &mean_grad;
-        let items = self.fleet.workers_mut_at(&ranks);
-        exec.par_map(items, |_, (_, w)| {
-            w.add_scaled(-lr, mean);
-            w.model_mut().zero_grads();
-        });
-        self.pool.give(mean_grad);
-
-        // Ring all-reduce traffic over the active ring: position i
-        // forwards 2(m−1) chunks to its ring successor (chunk sizes vary
-        // by at most one element when m ∤ N).
-        let mut per_worker_max = 0u64;
-        for i in 0..m {
-            let bytes = ring_send_bytes(n_params, m, i);
-            per_worker_max = per_worker_max.max(bytes);
-            traffic.record_p2p(ranks[i], ranks[(i + 1) % m], bytes);
-        }
-        traffic.end_round();
-        // The slowest active ring link gates every all-reduce step.
-        let timing = ctx.price_allreduce(&ranks, per_worker_max);
-        let ring = topology::ring_edges_over(&ranks);
-        let mean_link = ring.iter().map(|&(a, b)| bw.get(a, b)).sum::<f64>() / ring.len() as f64;
-        let min_link = ring
-            .iter()
-            .map(|&(a, b)| bw.get(a, b))
-            .fold(f64::INFINITY, f64::min);
-
-        let mut rep = RoundReport::new();
-        rep.mean_loss = loss;
-        rep.mean_acc = acc;
-        rep.set_timing(&timing);
-        rep.epochs_advanced = self.fleet.epochs_per_round();
-        rep.mean_link_bandwidth = mean_link;
-        rep.min_link_bandwidth = min_link;
-        self.rounds += 1;
-        rep
+        self.try_step(ctx)
+            .unwrap_or_else(|e| panic!("PSGD round failed: {e}"))
     }
 
     fn evaluate(&mut self, val: &Dataset, max_samples: usize) -> f32 {
@@ -125,18 +190,13 @@ impl Trainer for PsgdAllReduce {
         self.fleet.set_active(rank, active, 2)?;
         if active {
             // Resync the joiner so replicas stay bit-identical.
-            let donor = self
-                .fleet
-                .active_ranks()
-                .into_iter()
-                .find(|&r| r != rank)
-                .expect("at least two active workers");
-            let flat = self.fleet.worker(donor).flat();
-            let joiner = self.fleet.worker_mut(rank);
-            joiner.set_flat(&flat);
-            joiner.model_mut().zero_grads();
+            self.fleet.resync_joiner(&mut self.x, self.rounds, rank)?;
         }
         Ok(())
+    }
+
+    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
+        self.x.refresh_bandwidth(bw);
     }
 }
 
@@ -168,6 +228,31 @@ mod tests {
         let base = algo.fleet.worker(0).flat();
         for r in 1..4 {
             assert_eq!(base, algo.fleet.worker(r).flat());
+        }
+    }
+
+    /// The hop-by-hop exchange lands every replica on the update the
+    /// closed-form [`ring_reduce_mean`] reference predicts, bit for bit —
+    /// with a ring size that does not divide the model.
+    #[test]
+    fn hop_by_hop_mean_matches_the_closed_form_reference() {
+        use crate::allreduce::ring_reduce_mean;
+        let (mut algo, _, bw) = setup(5);
+        let (mut reference, _, _) = setup(5);
+        assert_ne!(algo.model_len() % 5, 0);
+        algo.round(&mut TrafficAccountant::new(5), &bw);
+
+        let fleet = &mut reference.fleet;
+        fleet.accumulate_grads_all_on(&saps_core::Executor::sequential());
+        let grads: Vec<Vec<f32>> = (0..5)
+            .map(|r| fleet.worker(r).model().flat_grads())
+            .collect();
+        let mut mean = vec![0.0f32; fleet.n_params()];
+        ring_reduce_mean(&grads, &mut mean);
+        let lr = fleet.lr;
+        for r in 0..5 {
+            fleet.worker_mut(r).add_scaled(-lr, &mean);
+            assert_eq!(fleet.worker(r).flat(), algo.fleet.worker(r).flat());
         }
     }
 

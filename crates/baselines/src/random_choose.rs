@@ -7,6 +7,8 @@
 //! expected bottleneck of a random matching is far below what maximum
 //! matching on `B*` achieves.
 
+use crate::common::{check_compression, round_report};
+use crate::exchange::{mean_stats, run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -16,43 +18,53 @@ use saps_compress::mask::RandomMask;
 use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
 use saps_graph::topology::random_perfect_matching;
+use saps_netsim::BandwidthMatrix;
 use saps_tensor::rng::{derive_seed, streams};
 
 /// SAPS-PSGD's sparse single-peer exchange with uniformly random peer
-/// selection. With an odd number of active workers one randomly chosen
-/// worker idles each round (as in SAPS-PSGD's own odd-fleet behaviour).
-pub struct RandomChoose {
+/// selection: matched workers swap their values at a shared-seed mask
+/// (indices implied — 4 bytes/coordinate, like SAPS) and each merges
+/// what it received. With an odd number of active workers one randomly
+/// chosen worker idles each round (as in SAPS-PSGD's own odd-fleet
+/// behaviour).
+pub struct RandomChoose<X: Exchange = Direct> {
     fleet: Fleet,
     compression: f64,
     rng: StdRng,
-    round: u64,
     /// The per-round mask, regenerated in place to reuse its buffer.
     mask: RandomMask,
+    x: X,
+    rounds: u64,
 }
 
 impl RandomChoose {
-    /// Wraps a fleet with compression ratio `c`.
+    /// Wraps a fleet with compression ratio `c`; exchanges stay in
+    /// memory.
     pub fn new(fleet: Fleet, compression: f64, seed: u64) -> Result<Self, ConfigError> {
-        if !(compression >= 1.0 && compression.is_finite()) {
-            return Err(ConfigError::invalid(
-                "RandomChoose",
-                format!("compression {compression} must be a finite ratio >= 1"),
-            ));
-        }
+        Self::over(fleet, compression, seed, Direct::new())
+    }
+}
+
+impl<X: Exchange> RandomChoose<X> {
+    /// Wraps a fleet with compression ratio `c`, exchanging over
+    /// `fabric`.
+    pub fn over(fleet: Fleet, compression: f64, seed: u64, fabric: X) -> Result<Self, ConfigError> {
+        check_compression("RandomChoose", compression)?;
         let mask = RandomMask::from_indices(fleet.n_params(), Vec::new());
         Ok(RandomChoose {
             fleet,
             compression,
             rng: StdRng::seed_from_u64(derive_seed(seed, 2, streams::MATCHING)),
-            round: 0,
             mask,
+            x: fabric,
+            rounds: 0,
         })
     }
 
     /// This round's random pairs over the active ranks (global rank
     /// space). With an odd active count one random worker sits out.
-    fn random_pairs(&mut self) -> Vec<(usize, usize)> {
-        let mut ranks = self.fleet.active_ranks();
+    fn random_pairs(fleet: &Fleet, rng: &mut StdRng) -> Vec<(usize, usize)> {
+        let mut ranks = fleet.active_ranks();
         let m = ranks.len();
         if m < 2 {
             return Vec::new();
@@ -60,7 +72,7 @@ impl RandomChoose {
         if m.is_multiple_of(2) {
             // Even: exactly the historical uniformly-random perfect
             // matching over active-subset positions.
-            let matching = random_perfect_matching(m, &mut self.rng);
+            let matching = random_perfect_matching(m, rng);
             matching
                 .pairs()
                 .iter()
@@ -68,61 +80,65 @@ impl RandomChoose {
                 .collect()
         } else {
             // Odd: shuffle and pair consecutively, leaving one out.
-            ranks.shuffle(&mut self.rng);
+            ranks.shuffle(rng);
             ranks.chunks_exact(2).map(|c| (c[0], c[1])).collect()
         }
     }
+
+    /// Runs one round, surfacing fabric faults as typed errors.
+    pub fn try_step(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
+        let (fleet, rng, mask) = (&mut self.fleet, &mut self.rng, &mut self.mask);
+        let compression = self.compression;
+        run_round(&mut self.x, &mut self.rounds, ctx, |x, round, ctx| {
+            let n = fleet.n_params();
+            let per_worker = fleet.sgd_step_all_on(&ctx.exec);
+            let stats = mean_stats(x, &per_worker)?;
+
+            let pairs = Self::random_pairs(fleet, rng);
+            mask.regenerate(n, compression, rng.gen(), round);
+            let nnz = mask.nnz();
+            let payload_bytes = codec::sparse_shared_mask_bytes(nnz);
+
+            let mut transfers = Vec::with_capacity(2 * pairs.len());
+            let mut link_sum = 0.0f64;
+            let mut link_min = f64::INFINITY;
+            for &(i, j) in &pairs {
+                for (src, dst) in [(i, j), (j, i)] {
+                    let values = Payload::Masked(fleet.worker(src).sparse_payload(mask));
+                    transfers.push((src, dst, x.send(src, Node::Worker(dst), values)?));
+                    ctx.traffic.record_p2p(src, dst, payload_bytes);
+                }
+                let at_j = x.recv_masked(Node::Worker(j), i, nnz)?;
+                let at_i = x.recv_masked(Node::Worker(i), j, nnz)?;
+                fleet.worker_mut(i).merge_sparse(mask, &at_i);
+                fleet.worker_mut(j).merge_sparse(mask, &at_j);
+                link_sum += ctx.bw.get(i, j);
+                link_min = link_min.min(ctx.bw.get(i, j));
+            }
+            let timing = ctx.price_p2p(&transfers);
+            let links = if pairs.is_empty() {
+                (0.0, 0.0)
+            } else {
+                (link_sum / pairs.len() as f64, link_min)
+            };
+            Ok(round_report(
+                stats,
+                &timing,
+                fleet.epochs_per_round(),
+                links,
+            ))
+        })
+    }
 }
 
-impl Trainer for RandomChoose {
+impl<X: Exchange> Trainer for RandomChoose<X> {
     fn name(&self) -> &'static str {
         "RandomChoose"
     }
 
     fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport {
-        let bw = ctx.bw;
-        let exec = ctx.exec;
-        let traffic = &mut *ctx.traffic;
-        let n_params = self.fleet.n_params();
-        let (loss, acc) = self.fleet.sgd_step_all_on(&exec);
-
-        let pairs = self.random_pairs();
-        self.mask
-            .regenerate(n_params, self.compression, self.rng.gen(), self.round);
-        let mask = &self.mask;
-        let payload_bytes = codec::sparse_shared_mask_bytes(mask.nnz());
-
-        let mut transfers = Vec::new();
-        let mut link_sum = 0.0f64;
-        let mut link_min = f64::INFINITY;
-        for &(i, j) in &pairs {
-            let pi = self.fleet.worker(i).sparse_payload(mask);
-            let pj = self.fleet.worker(j).sparse_payload(mask);
-            self.fleet.worker_mut(i).merge_sparse(mask, &pj);
-            self.fleet.worker_mut(j).merge_sparse(mask, &pi);
-            traffic.record_p2p(i, j, payload_bytes);
-            traffic.record_p2p(j, i, payload_bytes);
-            transfers.push((i, j, payload_bytes));
-            transfers.push((j, i, payload_bytes));
-            link_sum += bw.get(i, j);
-            link_min = link_min.min(bw.get(i, j));
-        }
-        traffic.end_round();
-        self.round += 1;
-        let timing = ctx.price_p2p(&transfers);
-
-        let mut rep = RoundReport::new();
-        rep.mean_loss = loss;
-        rep.mean_acc = acc;
-        rep.set_timing(&timing);
-        rep.epochs_advanced = self.fleet.epochs_per_round();
-        rep.mean_link_bandwidth = if pairs.is_empty() {
-            0.0
-        } else {
-            link_sum / pairs.len() as f64
-        };
-        rep.min_link_bandwidth = if pairs.is_empty() { 0.0 } else { link_min };
-        rep
+        self.try_step(ctx)
+            .unwrap_or_else(|e| panic!("RandomChoose round failed: {e}"))
     }
 
     fn evaluate(&mut self, val: &Dataset, max_samples: usize) -> f32 {
@@ -141,9 +157,13 @@ impl Trainer for RandomChoose {
         self.fleet.set_active(rank, active, 2)
     }
 
+    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
+        self.x.refresh_bandwidth(bw);
+    }
+
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {
         let avg = self.fleet.average_model();
-        Ok(saps_core::checkpoint::encode(&avg, self.round).to_vec())
+        Ok(saps_core::checkpoint::encode(&avg, self.rounds).to_vec())
     }
 }
 

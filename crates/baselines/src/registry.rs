@@ -4,110 +4,99 @@
 //! above it in the crate graph); this module contributes the seven
 //! comparison algorithms and exposes [`registry`] — the registry every
 //! binary, example and test hands to [`saps_core::Experiment::run`].
+//!
+//! [`register_baselines`] is the one place the seven keys are bound to
+//! their trainers; it is parameterised by how to make the exchange
+//! fabric, so the in-memory registry here and the wire registry of
+//! `saps-cluster` cannot cover different algorithms.
 
+use crate::exchange::{Direct, Exchange};
 use crate::{
     DPsgd, DcdPsgd, FedAvg, FedAvgConfig, Fleet, PsgdAllReduce, RandomChoose, SFedAvg, TopKPsgd,
 };
 use saps_core::{AlgorithmRegistry, AlgorithmSpec, BuildCtx, ConfigError, Trainer};
 
-/// The complete registry: SAPS-PSGD plus all seven baselines.
+/// The complete registry: SAPS-PSGD plus all seven baselines, exchanging
+/// in memory.
 pub fn registry() -> AlgorithmRegistry {
     let mut reg = AlgorithmRegistry::core();
-    register_baselines(&mut reg);
+    register_baselines(&mut reg, Direct::new);
     reg
 }
 
-/// Adds the seven baseline builders to an existing registry.
-pub fn register_baselines(reg: &mut AlgorithmRegistry) {
-    reg.register("psgd", build_psgd);
-    reg.register("topk", build_topk);
-    reg.register("fedavg", build_fedavg);
-    reg.register("sfedavg", build_sfedavg);
-    reg.register("dpsgd", build_dpsgd);
-    reg.register("dcd", build_dcd);
-    reg.register("random", build_random);
+/// The registry keys of the seven baselines.
+const KEYS: [&str; 7] = [
+    "psgd", "topk", "fedavg", "sfedavg", "dpsgd", "dcd", "random",
+];
+
+/// Adds the seven baseline builders to an existing registry. Every
+/// trainer built gets its own fabric from `fabric()` and is told the
+/// construction-time bandwidths the way it is told about later changes.
+pub fn register_baselines<X: Exchange + 'static>(
+    reg: &mut AlgorithmRegistry,
+    fabric: impl Fn() -> X + Clone + Send + Sync + 'static,
+) {
+    for key in KEYS {
+        let fabric = fabric.clone();
+        reg.register(key, move |spec, ctx| {
+            let bw = ctx.bw;
+            let mut trainer = build_baseline(spec, ctx, fabric())?;
+            trainer.refresh_bandwidth(bw);
+            Ok(trainer)
+        });
+    }
 }
 
-fn fleet(ctx: BuildCtx<'_>) -> Result<Fleet, ConfigError> {
+/// Builds the baseline `spec` names over fabric `x`; SAPS-PSGD is not
+/// one (`saps-core` and `saps-cluster` register it themselves).
+fn build_baseline<X: Exchange + 'static>(
+    spec: &AlgorithmSpec,
+    ctx: BuildCtx<'_>,
+    x: X,
+) -> Result<Box<dyn Trainer>, ConfigError> {
+    let seed = ctx.seed;
     let factory = ctx.factory.clone();
-    Fleet::with_partitions(
+    let fleet = Fleet::with_partitions(
         ctx.partitions,
         move |rng| factory(rng),
-        ctx.seed,
+        seed,
         ctx.batch_size,
         ctx.lr,
-    )
-}
-
-fn build_psgd(spec: &AlgorithmSpec, ctx: BuildCtx<'_>) -> Result<Box<dyn Trainer>, ConfigError> {
-    let AlgorithmSpec::Psgd = spec else {
-        return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()));
-    };
-    Ok(Box::new(PsgdAllReduce::new(fleet(ctx)?)?))
-}
-
-fn build_topk(spec: &AlgorithmSpec, ctx: BuildCtx<'_>) -> Result<Box<dyn Trainer>, ConfigError> {
-    let AlgorithmSpec::TopK { compression } = *spec else {
-        return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()));
-    };
-    Ok(Box::new(TopKPsgd::new(fleet(ctx)?, compression)?))
-}
-
-fn build_fedavg(spec: &AlgorithmSpec, ctx: BuildCtx<'_>) -> Result<Box<dyn Trainer>, ConfigError> {
-    let AlgorithmSpec::FedAvg {
-        participation,
-        local_steps,
-    } = *spec
-    else {
-        return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()));
-    };
-    let seed = ctx.seed;
-    let cfg = FedAvgConfig {
-        participation,
-        local_steps,
-    };
-    Ok(Box::new(FedAvg::new(fleet(ctx)?, cfg, seed)?))
-}
-
-fn build_sfedavg(spec: &AlgorithmSpec, ctx: BuildCtx<'_>) -> Result<Box<dyn Trainer>, ConfigError> {
-    let AlgorithmSpec::SFedAvg {
-        participation,
-        local_steps,
-        compression,
-    } = *spec
-    else {
-        return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()));
-    };
-    let seed = ctx.seed;
-    Ok(Box::new(SFedAvg::new(
-        fleet(ctx)?,
-        participation,
-        local_steps,
-        compression,
-        seed,
-    )?))
-}
-
-fn build_dpsgd(spec: &AlgorithmSpec, ctx: BuildCtx<'_>) -> Result<Box<dyn Trainer>, ConfigError> {
-    let AlgorithmSpec::DPsgd = spec else {
-        return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()));
-    };
-    Ok(Box::new(DPsgd::new(fleet(ctx)?)?))
-}
-
-fn build_dcd(spec: &AlgorithmSpec, ctx: BuildCtx<'_>) -> Result<Box<dyn Trainer>, ConfigError> {
-    let AlgorithmSpec::DcdPsgd { compression } = *spec else {
-        return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()));
-    };
-    Ok(Box::new(DcdPsgd::new(fleet(ctx)?, compression)?))
-}
-
-fn build_random(spec: &AlgorithmSpec, ctx: BuildCtx<'_>) -> Result<Box<dyn Trainer>, ConfigError> {
-    let AlgorithmSpec::RandomChoose { compression } = *spec else {
-        return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()));
-    };
-    let seed = ctx.seed;
-    Ok(Box::new(RandomChoose::new(fleet(ctx)?, compression, seed)?))
+    )?;
+    Ok(match *spec {
+        AlgorithmSpec::Psgd => Box::new(PsgdAllReduce::over(fleet, x)?),
+        AlgorithmSpec::TopK { compression } => Box::new(TopKPsgd::over(fleet, compression, x)?),
+        AlgorithmSpec::FedAvg {
+            participation,
+            local_steps,
+        } => {
+            let cfg = FedAvgConfig {
+                participation,
+                local_steps,
+            };
+            Box::new(FedAvg::over(fleet, cfg, seed, x)?)
+        }
+        AlgorithmSpec::SFedAvg {
+            participation,
+            local_steps,
+            compression,
+        } => Box::new(SFedAvg::over(
+            fleet,
+            participation,
+            local_steps,
+            compression,
+            seed,
+            x,
+        )?),
+        AlgorithmSpec::DPsgd => Box::new(DPsgd::over(fleet, x)?),
+        AlgorithmSpec::DcdPsgd { compression } => Box::new(DcdPsgd::over(fleet, compression, x)?),
+        AlgorithmSpec::RandomChoose { compression } => {
+            Box::new(RandomChoose::over(fleet, compression, seed, x)?)
+        }
+        AlgorithmSpec::Saps { .. } => {
+            return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -156,7 +145,10 @@ mod tests {
     #[test]
     fn builders_reject_mismatched_specs() {
         let bw = BandwidthMatrix::constant(4, 1.0);
-        assert!(build_psgd(&AlgorithmSpec::DPsgd, ctx(&bw, 4)).is_err());
-        assert!(build_topk(&AlgorithmSpec::Psgd, ctx(&bw, 4)).is_err());
+        // One builder serves every baseline key from the spec itself, so
+        // the only mismatch left is a spec that is not a baseline.
+        let saps = AlgorithmSpec::parse("saps").unwrap();
+        assert!(build_baseline(&saps, ctx(&bw, 4), Direct::new()).is_err());
+        assert!(!KEYS.contains(&saps.key()));
     }
 }

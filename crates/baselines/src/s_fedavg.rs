@@ -1,5 +1,7 @@
 //! S-FedAvg: FedAvg with random-mask sparsified uploads \[5\].
 
+use crate::common::{check_compression, check_sampling, round_report, ClientPhase};
+use crate::exchange::{run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -8,6 +10,7 @@ use saps_compress::codec;
 use saps_compress::mask::RandomMask;
 use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
+use saps_netsim::BandwidthMatrix;
 use saps_tensor::rng::{derive_seed, streams};
 
 /// Sparse FedAvg (Konečný et al.'s "random mask" structured update):
@@ -21,7 +24,7 @@ use saps_tensor::rng::{derive_seed, streams};
 /// Like [`crate::FedAvg`], server placement is pinned from the first
 /// round's measurements so drifting bandwidths can't migrate the server
 /// for free.
-pub struct SFedAvg {
+pub struct SFedAvg<X: Exchange = Direct> {
     fleet: Fleet,
     participation: f64,
     local_steps: usize,
@@ -30,14 +33,16 @@ pub struct SFedAvg {
     /// Pinned server placement (decided on the first round).
     server: Option<usize>,
     rng: StdRng,
-    round: u64,
     /// The per-client upload mask, regenerated in place per client to
     /// reuse its buffer.
     mask: RandomMask,
+    x: X,
+    rounds: u64,
 }
 
 impl SFedAvg {
-    /// Wraps a fleet. The paper uses `participation = 0.5`, `c = 100`.
+    /// Wraps a fleet; exchanges stay in memory. The paper uses
+    /// `participation = 0.5`, `c = 100`.
     pub fn new(
         fleet: Fleet,
         participation: f64,
@@ -45,21 +50,29 @@ impl SFedAvg {
         compression: f64,
         seed: u64,
     ) -> Result<Self, ConfigError> {
-        if !(participation > 0.0 && participation <= 1.0) {
-            return Err(ConfigError::invalid(
-                "SFedAvg",
-                format!("participation {participation} must be in (0, 1]"),
-            ));
-        }
-        if local_steps == 0 {
-            return Err(ConfigError::invalid("SFedAvg", "local_steps must be >= 1"));
-        }
-        if !(compression >= 1.0 && compression.is_finite()) {
-            return Err(ConfigError::invalid(
-                "SFedAvg",
-                format!("compression {compression} must be a finite ratio >= 1"),
-            ));
-        }
+        Self::over(
+            fleet,
+            participation,
+            local_steps,
+            compression,
+            seed,
+            Direct::new(),
+        )
+    }
+}
+
+impl<X: Exchange> SFedAvg<X> {
+    /// Wraps a fleet exchanging over `fabric`.
+    pub fn over(
+        fleet: Fleet,
+        participation: f64,
+        local_steps: usize,
+        compression: f64,
+        seed: u64,
+        fabric: X,
+    ) -> Result<Self, ConfigError> {
+        check_sampling("SFedAvg", participation, local_steps)?;
+        check_compression("SFedAvg", compression)?;
         let server_model = fleet.worker(0).flat();
         let mask = RandomMask::from_indices(fleet.n_params(), Vec::new());
         Ok(SFedAvg {
@@ -70,85 +83,81 @@ impl SFedAvg {
             server_model,
             server: None,
             rng: StdRng::seed_from_u64(derive_seed(seed, 1, streams::CLIENT_SAMPLE)),
-            round: 0,
             mask,
+            x: fabric,
+            rounds: 0,
         })
     }
-}
 
-impl Trainer for SFedAvg {
-    fn name(&self) -> &'static str {
-        "S-FedAvg"
-    }
-
-    fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport {
-        let bw = ctx.bw;
-        let exec = ctx.exec;
-        let n_params = self.fleet.n_params();
+    /// Runs one round, surfacing fabric faults as typed errors.
+    pub fn try_step(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
+        // The sampled client list stays in shuffled order — the upload
+        // mask RNG draws and the server fold both follow it.
         let mut clients = self.fleet.active_ranks();
         let m = clients.len();
         let k = ((m as f64 * self.participation).round() as usize).clamp(1, m);
         clients.shuffle(&mut self.rng);
         clients.truncate(k);
+        let server = *self.server.get_or_insert_with(|| ctx.bw.best_server());
+        let (local_steps, compression, participation) =
+            (self.local_steps, self.compression, self.participation);
+        let (fleet, server_model) = (&mut self.fleet, &mut self.server_model);
+        let (rng, mask) = (&mut self.rng, &mut self.mask);
+        run_round(&mut self.x, &mut self.rounds, ctx, |x, round, ctx| {
+            let n = fleet.n_params();
+            // Dense download + local steps per selected client (the
+            // client set and every mask below come from the sequential
+            // sampling RNG, so the fan-out leaves the exchange
+            // untouched).
+            let ClientPhase { loss, acc, down } =
+                fleet.ps_client_phase(x, ctx, server, &clients, server_model, local_steps)?;
+            let steps = (clients.len() * local_steps) as f64;
 
-        let server = *self.server.get_or_insert_with(|| bw.best_server());
-        let dense_bytes = 4 * n_params as u64;
-
-        for &r in &clients {
-            ctx.traffic.record_download(r, dense_bytes);
-        }
-
-        // Dense download + local steps per selected client, fanned out
-        // (the client set and every mask below still come from the
-        // sequential sampling RNG, so the exchange stays untouched).
-        let (loss, acc) =
-            self.fleet
-                .local_steps_on(&exec, &clients, &self.server_model, self.local_steps);
-        let steps = (clients.len() * self.local_steps) as f64;
-
-        // Sparse uploads over *per-client* random masks ([5]'s "random
-        // mask" structured update): each client sends (index, value)
-        // pairs — 8 bytes/coordinate, the 2N/c of Table I. The server
-        // averages each coordinate over the clients whose mask included
-        // it, so the union of masks covers most of the model each round.
-        let mut sums = vec![0.0f32; n_params];
-        let mut counts = vec![0u32; n_params];
-        let mut up_bytes_of = Vec::with_capacity(clients.len());
-        for &r in &clients {
-            self.mask
-                .regenerate(n_params, self.compression, self.rng.gen(), self.round);
-            let mask = &self.mask;
-            let payload = self.fleet.worker(r).sparse_payload(mask);
-            for (&i, &v) in mask.indices().iter().zip(&payload) {
-                sums[i as usize] += v;
-                counts[i as usize] += 1;
+            // Sparse uploads over *per-client* random masks ([5]'s
+            // "random mask" structured update): each client sends
+            // (index, value) pairs — 8 bytes/coordinate, the 2N/c of
+            // Table I. The server averages each coordinate over the
+            // uploads it received that included it, so the union of
+            // masks covers most of the model each round.
+            let mut sums = vec![0.0f32; n];
+            let mut counts = vec![0u32; n];
+            let mut transfers = Vec::with_capacity(clients.len());
+            for &r in &clients {
+                mask.regenerate(n, compression, rng.gen(), round);
+                let upload = Payload::Sparse {
+                    indices: mask.indices().to_vec(),
+                    values: fleet.worker(r).sparse_payload(mask),
+                };
+                transfers.push((r, x.send(r, Node::Worker(server), upload)?, down[&r]));
+                ctx.traffic
+                    .record_upload(r, codec::sparse_iv_bytes(mask.nnz()));
+                let (indices, values) = x.recv_sparse(Node::Worker(server), r, n)?;
+                for (&i, &v) in indices.iter().zip(&values) {
+                    sums[i as usize] += v;
+                    counts[i as usize] += 1;
+                }
             }
-            let up = codec::sparse_iv_bytes(mask.nnz());
-            ctx.traffic.record_upload(r, up);
-            up_bytes_of.push(up);
-        }
-        for i in 0..n_params {
-            if counts[i] > 0 {
-                self.server_model[i] = sums[i] / counts[i] as f32;
+            for i in 0..n {
+                if counts[i] > 0 {
+                    server_model[i] = sums[i] / counts[i] as f32;
+                }
             }
-        }
-        ctx.traffic.end_round();
-        self.round += 1;
+            let timing = ctx.price_ps(server, &transfers);
+            let stats = ((loss / steps) as f32, (acc / steps) as f32);
+            let epochs = fleet.epochs_per_round() * local_steps as f64 * participation;
+            Ok(round_report(stats, &timing, epochs, (0.0, 0.0)))
+        })
+    }
+}
 
-        let transfers: Vec<(usize, u64, u64)> = clients
-            .iter()
-            .zip(&up_bytes_of)
-            .map(|(&r, &up)| (r, up, dense_bytes))
-            .collect();
-        let timing = ctx.price_ps(server, &transfers);
+impl<X: Exchange> Trainer for SFedAvg<X> {
+    fn name(&self) -> &'static str {
+        "S-FedAvg"
+    }
 
-        let mut rep = RoundReport::new();
-        rep.mean_loss = (loss / steps) as f32;
-        rep.mean_acc = (acc / steps) as f32;
-        rep.set_timing(&timing);
-        rep.epochs_advanced =
-            self.fleet.epochs_per_round() * self.local_steps as f64 * self.participation;
-        rep
+    fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport {
+        self.try_step(ctx)
+            .unwrap_or_else(|e| panic!("S-FedAvg round failed: {e}"))
     }
 
     fn evaluate(&mut self, val: &Dataset, max_samples: usize) -> f32 {
@@ -168,8 +177,12 @@ impl Trainer for SFedAvg {
         self.fleet.set_active(rank, active, 2)
     }
 
+    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
+        self.x.refresh_bandwidth(bw);
+    }
+
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {
-        Ok(saps_core::checkpoint::encode(&self.server_model, self.round).to_vec())
+        Ok(saps_core::checkpoint::encode(&self.server_model, self.rounds).to_vec())
     }
 }
 

@@ -1,38 +1,45 @@
 //! TopK-PSGD: dense-convergence sparsified gradients with error feedback.
 
+use crate::common::{check_compression, round_report};
+use crate::exchange::{mean_stats, run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use saps_compress::codec;
-use saps_compress::topk::{densify, ErrorFeedbackTopK};
+use saps_compress::topk::ErrorFeedbackTopK;
 use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
-use saps_tensor::scratch::BufferPool;
+use saps_netsim::BandwidthMatrix;
 
 /// TopK-PSGD \[20\], \[34\]: each worker sends the top `N/c` coordinates of
 /// its error-compensated gradient to **all** other active workers (sparse
 /// allgather), then every replica applies the same averaged sparse
-/// update.
+/// update — folded, at each worker, from the payloads *it* received in
+/// ascending rank order (its own slotting in where a real allgather
+/// keeps it).
 ///
 /// Per-worker traffic is `2·n·(N/c)` parameters per round (Table I) —
 /// local sparsification does not remove the linear-in-`n` factor, which
 /// is exactly the weakness SAPS-PSGD attacks.
-pub struct TopKPsgd {
+pub struct TopKPsgd<X: Exchange = Direct> {
     fleet: Fleet,
     compressors: Vec<ErrorFeedbackTopK>,
     compression: f64,
-    /// Scratch for the per-round mean gradient, reused across rounds.
-    pool: BufferPool,
+    x: X,
     rounds: u64,
 }
 
 impl TopKPsgd {
-    /// Wraps a fleet with compression ratio `c` (the paper uses 1000).
+    /// Wraps a fleet with compression ratio `c` (the paper uses 1000);
+    /// exchanges stay in memory.
     pub fn new(fleet: Fleet, compression: f64) -> Result<Self, ConfigError> {
-        if !(compression >= 1.0 && compression.is_finite()) {
-            return Err(ConfigError::invalid(
-                "TopKPsgd",
-                format!("compression {compression} must be a finite ratio >= 1"),
-            ));
-        }
+        Self::over(fleet, compression, Direct::new())
+    }
+}
+
+impl<X: Exchange> TopKPsgd<X> {
+    /// Wraps a fleet with compression ratio `c`, exchanging over
+    /// `fabric`.
+    pub fn over(fleet: Fleet, compression: f64, fabric: X) -> Result<Self, ConfigError> {
+        check_compression("TopKPsgd", compression)?;
         let n_params = fleet.n_params();
         let compressors = (0..fleet.len())
             .map(|_| ErrorFeedbackTopK::with_ratio(n_params, compression))
@@ -41,7 +48,7 @@ impl TopKPsgd {
             fleet,
             compressors,
             compression,
-            pool: BufferPool::new(),
+            x: fabric,
             rounds: 0,
         })
     }
@@ -50,86 +57,114 @@ impl TopKPsgd {
     pub fn compression(&self) -> f64 {
         self.compression
     }
+
+    /// Runs one round, surfacing fabric faults as typed errors.
+    pub fn try_step(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
+        let fleet = &mut self.fleet;
+        let compressors = &mut self.compressors;
+        run_round(&mut self.x, &mut self.rounds, ctx, |x, _, ctx| {
+            let ranks = fleet.active_ranks();
+            let m = ranks.len();
+            let n = fleet.n_params();
+            let per_worker = fleet.accumulate_grads_all_on(&ctx.exec);
+            let stats = mean_stats(x, &per_worker)?;
+
+            // Compress every active worker's gradient with its private
+            // residual — per-worker state, so the top-k selection fans
+            // out with the compute phase.
+            let payloads = {
+                let fleet = &*fleet;
+                let comp_items = crate::select_ranked_mut(compressors, &ranks);
+                ctx.exec.par_map(comp_items, |_, (r, comp)| {
+                    comp.compress(&fleet.worker(r).model().flat_grads())
+                })
+            };
+            // Allgather: every worker ships its payload to each of the
+            // others.
+            let mut largest = 0u64;
+            for (i, (indices, values)) in payloads.iter().enumerate() {
+                for (j, &dst) in ranks.iter().enumerate() {
+                    if j != i {
+                        let payload = Payload::Sparse {
+                            indices: indices.clone(),
+                            values: values.clone(),
+                        };
+                        largest = largest.max(x.send(ranks[i], Node::Worker(dst), payload)?);
+                        ctx.traffic.record_p2p(
+                            ranks[i],
+                            dst,
+                            codec::sparse_iv_bytes(indices.len()),
+                        );
+                    }
+                }
+            }
+            // Each worker folds the m payloads it holds into the mean
+            // gradient, ascending rank. Adding `(index, value)` pairs
+            // into a zeroed vector is bit-identical to densifying each
+            // payload first: the skipped terms are `+ 0.0`, and no
+            // partial sum here can be `-0.0`.
+            let inv = 1.0 / m as f32;
+            let mut means: Vec<Vec<f32>> = Vec::with_capacity(m);
+            for i in 0..m {
+                let mut mean = vec![0.0f32; n];
+                let mut fold = |indices: &[u32], values: &[f32]| {
+                    for (&k, &v) in indices.iter().zip(values) {
+                        mean[k as usize] += inv * v;
+                    }
+                };
+                for (pos, &src) in ranks.iter().enumerate() {
+                    if pos == i {
+                        fold(&payloads[i].0, &payloads[i].1);
+                    } else {
+                        let (indices, values) = x.recv_sparse(Node::Worker(ranks[i]), src, n)?;
+                        fold(&indices, &values);
+                    }
+                }
+                means.push(mean);
+            }
+            let lr = fleet.lr;
+            let means = &means;
+            let items = fleet.workers_mut_at(&ranks);
+            ctx.exec.par_map(items, |i, (_, w)| {
+                w.add_scaled(-lr, &means[i]);
+                w.model_mut().zero_grads();
+            });
+
+            // (m-1) sequential payloads over the slowest active link
+            // gate the allgather.
+            let timing = ctx.price_allgather(&ranks, largest);
+            let mut min_link = f64::INFINITY;
+            let mut sum_link = 0.0f64;
+            let mut links = 0usize;
+            for i in 0..m {
+                for j in 0..m {
+                    if i != j {
+                        let l = ctx.bw.get(ranks[i], ranks[j]);
+                        min_link = min_link.min(l);
+                        sum_link += l;
+                        links += 1;
+                    }
+                }
+            }
+            let links = (sum_link / links.max(1) as f64, min_link);
+            Ok(round_report(
+                stats,
+                &timing,
+                fleet.epochs_per_round(),
+                links,
+            ))
+        })
+    }
 }
 
-impl Trainer for TopKPsgd {
+impl<X: Exchange> Trainer for TopKPsgd<X> {
     fn name(&self) -> &'static str {
         "TopK-PSGD"
     }
 
     fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport {
-        let bw = ctx.bw;
-        let exec = ctx.exec;
-        let traffic = &mut *ctx.traffic;
-        let ranks = self.fleet.active_ranks();
-        let m = ranks.len();
-        let n_params = self.fleet.n_params();
-        let (loss, acc) = self.fleet.accumulate_grads_all_on(&exec);
-
-        // Compress every active worker's gradient with its private
-        // residual — per-worker state, so the top-k selection fans out
-        // with the compute phase.
-        let fleet = &self.fleet;
-        let comp_items = crate::select_ranked_mut(&mut self.compressors, &ranks);
-        let payloads = exec.par_map(comp_items, |_, (r, comp)| {
-            comp.compress(&fleet.worker(r).model().flat_grads())
-        });
-
-        // Average of the densified sparse gradients, reduced in rank
-        // order on one thread.
-        let mut mean_grad = self.pool.take_zeroed(n_params);
-        for (idx, vals) in &payloads {
-            let dense = densify(n_params, idx, vals);
-            saps_tensor::ops::axpy(1.0 / m as f32, &dense, &mut mean_grad);
-        }
-        let lr = self.fleet.lr;
-        let mean = &mean_grad;
-        let items = self.fleet.workers_mut_at(&ranks);
-        exec.par_map(items, |_, (_, w)| {
-            w.add_scaled(-lr, mean);
-            w.model_mut().zero_grads();
-        });
-        self.pool.give(mean_grad);
-
-        // Allgather traffic: each ordered active pair moves one sparse
-        // payload.
-        let mut payload_bytes = 0u64;
-        for (i, (idx, _)) in payloads.iter().enumerate() {
-            let bytes = codec::sparse_iv_bytes(idx.len());
-            payload_bytes = payload_bytes.max(bytes);
-            for (j, &dst) in ranks.iter().enumerate() {
-                if j != i {
-                    traffic.record_p2p(ranks[i], dst, bytes);
-                }
-            }
-        }
-        traffic.end_round();
-        // (m-1) sequential chunks over the slowest active link gate the
-        // allgather.
-        let timing = ctx.price_allgather(&ranks, payload_bytes);
-        let mut min_link = f64::INFINITY;
-        let mut sum_link = 0.0f64;
-        let mut links = 0usize;
-        for i in 0..m {
-            for j in 0..m {
-                if i != j {
-                    let l = bw.get(ranks[i], ranks[j]);
-                    min_link = min_link.min(l);
-                    sum_link += l;
-                    links += 1;
-                }
-            }
-        }
-
-        let mut rep = RoundReport::new();
-        rep.mean_loss = loss;
-        rep.mean_acc = acc;
-        rep.set_timing(&timing);
-        rep.epochs_advanced = self.fleet.epochs_per_round();
-        rep.mean_link_bandwidth = sum_link / links.max(1) as f64;
-        rep.min_link_bandwidth = min_link;
-        self.rounds += 1;
-        rep
+        self.try_step(ctx)
+            .unwrap_or_else(|e| panic!("TopK-PSGD round failed: {e}"))
     }
 
     fn evaluate(&mut self, val: &Dataset, max_samples: usize) -> f32 {
@@ -151,20 +186,15 @@ impl Trainer for TopKPsgd {
         if active {
             // Resync the joiner so replicas stay bit-identical; its stale
             // error-feedback residual is cleared with the model.
-            let donor = self
-                .fleet
-                .active_ranks()
-                .into_iter()
-                .find(|&r| r != rank)
-                .expect("at least two active workers");
-            let flat = self.fleet.worker(donor).flat();
-            let joiner = self.fleet.worker_mut(rank);
-            joiner.set_flat(&flat);
-            joiner.model_mut().zero_grads();
+            self.fleet.resync_joiner(&mut self.x, self.rounds, rank)?;
             self.compressors[rank] =
                 ErrorFeedbackTopK::with_ratio(self.fleet.n_params(), self.compression);
         }
         Ok(())
+    }
+
+    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
+        self.x.refresh_bandwidth(bw);
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {

@@ -1,0 +1,650 @@
+//! The framed exchange fabric: the seven baselines on the wire.
+//!
+//! [`saps_baselines`] implements each comparison algorithm once, generic
+//! over an [`Exchange`]. [`Framed`] is the fabric that carries those
+//! trainers' [`Payload`]s as real serialized [`saps_proto`] frames over
+//! a [`Transport`], metered by the [`WireTap`]:
+//!
+//! | [`Payload`] | frame | sent by |
+//! |-------------|-------|---------|
+//! | `Dense` | [`Message::DensePayload`] | PSGD ring chunks, D-PSGD models, FedAvg / S-FedAvg downloads, FedAvg uploads |
+//! | `Sparse` | [`Message::SparsePayload`] | TopK-PSGD allgather, DCD-PSGD diffs, S-FedAvg uploads |
+//! | `Masked` | [`Message::MaskedPayload`] | RandomChoose pair exchange |
+//! | `Stats` | [`Message::ClientStats`] (control) | every algorithm: per-worker loss/accuracy sums |
+//!
+//! Nothing here knows which algorithm is running. The fabric encodes,
+//! sends, receives (stall-limited — a typed error, never a hang),
+//! decodes, and rejects what the receiver did not ask for: a frame for
+//! another round, of another kind, or of a shape the trainer could not
+//! index. `send` returns the framed length, so the DES prices envelopes
+//! too; every byte that is not payload values (control frames plus all
+//! envelopes) is billed to the accountant's server row, like the SAPS
+//! driver bills it. A rejoining worker catches up over the chunk plane
+//! ([`crate::DownloadScheduler`]): verified chunk downloads fanned
+//! across the in-sync peers that are reachable in the latest bandwidth
+//! snapshot, fastest first.
+
+use crate::chunks::{ChunkManifest, ChunkOutcome, DownloadScheduler, DEFAULT_CHUNK_BYTES};
+use crate::error::ClusterError;
+use crate::transport::{Addr, LoopbackTransport, Transport, WireTap};
+use saps_baselines::{Exchange, Node, Payload, Shape};
+use saps_core::{checkpoint, Recorder, RoundCtx, RoundReport};
+use saps_netsim::BandwidthMatrix;
+use saps_proto::{frame, Message};
+use std::collections::BTreeMap;
+use std::time::Duration;
+
+/// Idle receive sweeps tolerated before a stall error (1 ms each).
+const STALL_SWEEP_LIMIT: u32 = 5_000;
+
+/// What one joiner catch-up put on the wire — appended to
+/// [`Framed::resync_log`] per resync.
+#[derive(Debug, Clone)]
+pub struct ResyncReport {
+    /// The worker that caught up.
+    pub rank: u32,
+    /// The preferred donor (first in the bandwidth ranking; the peer
+    /// whose checkpoint defined the manifest).
+    pub donor: u32,
+    /// Total framed bytes the resync moved (requests + replies,
+    /// envelopes included).
+    pub wire_bytes: u64,
+    /// The checkpoint blob's size (the irreducible payload).
+    pub blob_bytes: u64,
+    /// Chunks fetched.
+    pub chunks: u32,
+    /// Distinct peers that served accepted data, ascending.
+    pub sources: Vec<u32>,
+    /// Chunk re-requests (rejections, drops, corruption).
+    pub retries: u64,
+}
+
+/// An [`Exchange`] over a [`Transport`]: see the module docs.
+pub struct Framed<T: Transport> {
+    transport: T,
+    tap: WireTap,
+    stall_limit: u32,
+    billed_control: u64,
+    /// The round in progress; stamped on every frame sent and required
+    /// of every frame received.
+    round: u64,
+    /// Decoded frames that reached `at` ahead of the sender being
+    /// awaited there: `(at, from, message)`, in arrival order.
+    early: Vec<(Addr, Addr, Message)>,
+    /// Chunk size for joiner catch-up.
+    chunk_size: u32,
+    /// The latest bandwidth snapshot, used to rank chunk-serving peers
+    /// toward a joiner (`None` ranks by ascending rank).
+    bw: Option<BandwidthMatrix>,
+    /// Monotone manifest epoch across resyncs.
+    resync_epoch: u64,
+    /// One report per completed resync, in order.
+    resync_log: Vec<ResyncReport>,
+    /// How many [`Self::resync_log`] entries have already been emitted
+    /// as `"resync"` telemetry events — resyncs happen between rounds,
+    /// so the next round's close drains the tail.
+    resync_emitted: usize,
+    /// Resync transfers `(src, dst, framed_bytes)` not yet priced into a
+    /// round's timing — drained by the next round's close so the DES
+    /// charges catch-up traffic like any other transfer.
+    pending_resync: Vec<(usize, usize, u64)>,
+    /// Telemetry recorder: disabled until a round's [`RoundCtx`]
+    /// carries one, then kept so catch-ups between rounds report too.
+    /// Recording never changes the arithmetic — bit-identity is pinned
+    /// by `tests/telemetry.rs`.
+    telemetry: Recorder,
+}
+
+impl Framed<LoopbackTransport> {
+    /// A fabric over the in-process loopback transport.
+    pub fn loopback(tap: WireTap) -> Self {
+        Self::new(LoopbackTransport::new(tap.clone()), tap)
+    }
+}
+
+impl<T: Transport> Framed<T> {
+    /// A fabric over an arbitrary transport. `tap` must be the same tap
+    /// the transport meters into — it is the ground truth control-plane
+    /// bytes are billed from.
+    pub fn new(transport: T, tap: WireTap) -> Self {
+        let billed_control = tap.snapshot().control_bytes;
+        Framed {
+            transport,
+            tap,
+            stall_limit: STALL_SWEEP_LIMIT,
+            billed_control,
+            round: 0,
+            early: Vec::new(),
+            chunk_size: DEFAULT_CHUNK_BYTES,
+            bw: None,
+            resync_epoch: 0,
+            resync_log: Vec::new(),
+            resync_emitted: 0,
+            pending_resync: Vec::new(),
+            telemetry: Recorder::disabled(),
+        }
+    }
+
+    /// Replaces the chunk size for joiner catch-up (default
+    /// [`DEFAULT_CHUNK_BYTES`]). Tests shrink it so small models still
+    /// split into enough chunks to fan across peers.
+    pub fn with_chunk_size(mut self, bytes: u32) -> Self {
+        assert!(bytes > 0, "chunk size must be positive");
+        self.chunk_size = bytes;
+        self
+    }
+
+    /// Lowers the stall tolerance (in 1 ms receive sweeps) — test hook.
+    pub fn with_stall_limit(mut self, sweeps: u32) -> Self {
+        self.stall_limit = sweeps;
+        self
+    }
+
+    /// One report per completed joiner catch-up, in completion order.
+    pub fn resync_log(&self) -> &[ResyncReport] {
+        &self.resync_log
+    }
+
+    /// Encodes `msg`, hands it to the transport (which records it on
+    /// the tap), and returns the framed byte count.
+    fn send_frame(&mut self, from: Addr, to: Addr, msg: &Message) -> Result<u64, ClusterError> {
+        let bytes = frame::encode(msg);
+        let framed = bytes.len() as u64;
+        self.transport.send(from, to, bytes)?;
+        Ok(framed)
+    }
+
+    /// Receives and decodes one frame at `at`, stalling out (typed
+    /// error, never a hang) after `stall_limit` idle 1 ms sweeps.
+    fn recv_frame(&mut self, at: Addr) -> Result<(Addr, Message), ClusterError> {
+        let mut idle = 0u32;
+        loop {
+            if let Some((from, bytes)) = self.transport.recv(at)? {
+                return Ok((from, frame::decode(&bytes)?));
+            }
+            idle += 1;
+            if idle > self.stall_limit {
+                return Err(ClusterError::Protocol(format!(
+                    "transport quiescent waiting for a frame at {at}"
+                )));
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Serving candidates for `joiner`'s catch-up among `peers`: in the
+    /// latest bandwidth snapshot, those with a live link to the joiner,
+    /// fastest first (ascending rank on ties); all of them in the given
+    /// order when no snapshot was supplied.
+    fn rank_peers(&self, joiner: usize, peers: &[usize]) -> Vec<usize> {
+        let mut peers = peers.to_vec();
+        if let Some(bw) = &self.bw {
+            peers.retain(|&p| bw.get(p, joiner) > 0.0);
+            peers.sort_by(|&a, &b| {
+                bw.get(b, joiner)
+                    .partial_cmp(&bw.get(a, joiner))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+        }
+        peers
+    }
+
+    /// The chunked catch-up: publish the preferred donor's checkpoint
+    /// as a manifest and fan the joiner's verified chunk downloads
+    /// across every reachable in-sync peer. Lost and corrupt frames are
+    /// tolerated — the scheduler re-sources each failed chunk from the
+    /// next ranked peer until its attempt budget runs dry, at which
+    /// point the typed [`ClusterError::ResyncFailed`] surfaces.
+    fn download(
+        &mut self,
+        round: u64,
+        rank: usize,
+        peers: &[usize],
+        flat_of: &dyn Fn(usize) -> Vec<f32>,
+    ) -> Result<Vec<f32>, ClusterError> {
+        let peers = self.rank_peers(rank, peers);
+        let donor = *peers.first().ok_or_else(|| ClusterError::ResyncFailed {
+            donor: rank as u32,
+            rank: rank as u32,
+            detail: "no reachable live peer to resync from".into(),
+        })?;
+        let blob = checkpoint::encode(&flat_of(donor), round);
+        let blob_bytes = blob.len() as u64;
+        self.resync_epoch += 1;
+        let manifest = ChunkManifest::build(self.resync_epoch, round, &blob, self.chunk_size);
+        // Each peer proves it can serve by re-encoding its own state and
+        // checking it against the manifest — computed lazily, once per
+        // peer, on the first chunk request it sees.
+        let mut peer_blobs: BTreeMap<usize, Option<Vec<u8>>> = BTreeMap::new();
+        let mut dl =
+            DownloadScheduler::new(manifest.clone(), peers.iter().map(|&p| p as u32).collect());
+        let at = |r: usize| Addr::Worker(r as u32);
+        let mut wire_bytes = 0u64;
+        while !dl.is_complete() {
+            if let Some(chunk) = dl.failed_chunk() {
+                return Err(ClusterError::ResyncFailed {
+                    donor: donor as u32,
+                    rank: rank as u32,
+                    detail: format!("chunk {chunk} exhausted every serving peer"),
+                });
+            }
+            // Fan every requestable chunk onto the wire.
+            let mut asked = Vec::new();
+            while let Some((peer, req)) = dl.next_request() {
+                let framed = self.send_frame(at(rank), at(peer as usize), &req)?;
+                wire_bytes += framed;
+                self.pending_resync.push((rank, peer as usize, framed));
+                asked.push(peer as usize);
+            }
+            // Serve each asked peer's inbox: requests that decode are
+            // answered (verified slice, or a NACK when the peer's state
+            // diverged from the manifest); corrupted ones count as lost.
+            for peer in asked {
+                while let Some((_, bytes)) = self.transport.recv(at(peer))? {
+                    let Ok(Message::ChunkRequest { epoch, index }) = frame::decode(&bytes) else {
+                        continue;
+                    };
+                    let served = peer_blobs.entry(peer).or_insert_with(|| {
+                        let own = checkpoint::encode(&flat_of(peer), round);
+                        manifest.matches(&own).then(|| own.to_vec())
+                    });
+                    let reply = served
+                        .as_ref()
+                        .filter(|_| epoch == manifest.epoch)
+                        .and_then(|blob| manifest.chunk_reply(blob, index))
+                        .unwrap_or(Message::ChunkData {
+                            epoch,
+                            index,
+                            checksum: 0,
+                            data: Vec::new(),
+                        });
+                    let framed = self.send_frame(at(peer), at(rank), &reply)?;
+                    wire_bytes += framed;
+                    self.pending_resync.push((peer, rank, framed));
+                }
+            }
+            // Drain the joiner's inbox into the scheduler. Frames the
+            // transport corrupted fail to decode and count as lost.
+            let mut progressed = false;
+            while let Some((from, bytes)) = self.transport.recv(at(rank))? {
+                let Ok(Message::ChunkData {
+                    epoch,
+                    index,
+                    checksum,
+                    data,
+                }) = frame::decode(&bytes)
+                else {
+                    continue;
+                };
+                let Addr::Worker(from) = from else {
+                    continue;
+                };
+                if dl.on_chunk(from, epoch, index, checksum, &data) != ChunkOutcome::Duplicate {
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                // Requests or replies vanished on the wire: re-request
+                // everything outstanding (each retry rotates peers).
+                dl.requeue_outstanding();
+            }
+        }
+        let assembled = dl.assemble().expect("complete download assembles");
+        debug_assert_eq!(assembled, blob.to_vec());
+        let (flat, _) = checkpoint::decode(bytes::Bytes::from(assembled)).map_err(|e| {
+            ClusterError::Protocol(format!("assembled resync checkpoint for {rank}: {e}"))
+        })?;
+        self.resync_log.push(ResyncReport {
+            rank: rank as u32,
+            donor: donor as u32,
+            wire_bytes,
+            blob_bytes,
+            chunks: manifest.chunk_count(),
+            sources: dl.sources().into_iter().collect(),
+            retries: dl.retries(),
+        });
+        Ok(flat)
+    }
+}
+
+fn addr(node: Node) -> Addr {
+    match node {
+        Node::Coordinator => Addr::Coordinator,
+        Node::Worker(rank) => Addr::Worker(rank as u32),
+    }
+}
+
+/// The [`Payload`] ↔ [`Message`] mapping, sending side.
+fn seal(round: u64, from: usize, payload: Payload) -> Message {
+    match payload {
+        Payload::Dense(values) => Message::DensePayload { round, values },
+        Payload::Sparse { indices, values } => Message::SparsePayload {
+            round,
+            indices,
+            values,
+        },
+        Payload::Masked(values) => Message::MaskedPayload { round, values },
+        Payload::Stats { loss, acc } => Message::ClientStats {
+            round,
+            rank: from as u32,
+            loss,
+            acc,
+        },
+    }
+}
+
+/// The [`Payload`] ↔ [`Message`] mapping, receiving side: the frame's
+/// round and payload, or `None` for a frame the baselines never
+/// exchange (or a stats frame reporting for someone else).
+fn open(msg: Message, from: Addr) -> Option<(u64, Payload)> {
+    Some(match msg {
+        Message::DensePayload { round, values } => (round, Payload::Dense(values)),
+        Message::SparsePayload {
+            round,
+            indices,
+            values,
+        } => (round, Payload::Sparse { indices, values }),
+        Message::MaskedPayload { round, values } => (round, Payload::Masked(values)),
+        Message::ClientStats {
+            round,
+            rank,
+            loss,
+            acc,
+        } if Addr::Worker(rank) == from => (round, Payload::Stats { loss, acc }),
+        _ => return None,
+    })
+}
+
+impl<T: Transport> Exchange for Framed<T> {
+    type Error = ClusterError;
+
+    fn begin_round(&mut self, round: u64, ctx: &RoundCtx<'_>) {
+        if ctx.telemetry.is_enabled() {
+            self.telemetry = ctx.telemetry.clone();
+        }
+        self.round = round;
+        self.early.clear();
+        // Keep the shared tap's transfer log bounded: billing reads the
+        // class counters, not the transfer rows.
+        self.tap.take_transfers();
+    }
+
+    fn send(&mut self, from: usize, to: Node, payload: Payload) -> Result<u64, ClusterError> {
+        let msg = seal(self.round, from, payload);
+        self.send_frame(Addr::Worker(from as u32), addr(to), &msg)
+    }
+
+    fn recv(&mut self, at: Node, from: usize, want: Shape) -> Result<Payload, ClusterError> {
+        let (at, from) = (addr(at), Addr::Worker(from as u32));
+        let waiting = self
+            .early
+            .iter()
+            .position(|(a, f, _)| (*a, *f) == (at, from));
+        let msg = match waiting {
+            Some(pos) => self.early.remove(pos).2,
+            None => loop {
+                let (src, msg) = self.recv_frame(at)?;
+                if src == from {
+                    break msg;
+                }
+                self.early.push((at, src, msg));
+            },
+        };
+        let label = msg.label();
+        let (round, payload) = open(msg, from).ok_or_else(|| {
+            ClusterError::Protocol(format!(
+                "expected an exchange payload from {from}, got {label}"
+            ))
+        })?;
+        if round != self.round {
+            return Err(ClusterError::Protocol(format!(
+                "{label} from {from} for round {round} during round {}",
+                self.round
+            )));
+        }
+        want.check(&payload)
+            .map_err(|why| ClusterError::Protocol(format!("{label} from {from} at {at}: {why}")))?;
+        Ok(payload)
+    }
+
+    fn end_round(
+        &mut self,
+        ctx: &mut RoundCtx<'_>,
+        stepped: Result<RoundReport, ClusterError>,
+    ) -> Result<RoundReport, ClusterError> {
+        let tel = self.telemetry.clone();
+        let mut rep = match stepped {
+            Ok(rep) => rep,
+            Err(e) => {
+                if let ClusterError::Protocol(msg) = &e {
+                    if tel.is_enabled() && msg.starts_with("transport quiescent") {
+                        tel.add("cluster.stalls", 1);
+                        tel.event(
+                            "stall",
+                            Some(self.round),
+                            vec![
+                                ("round", self.round.into()),
+                                ("detail", msg.as_str().into()),
+                            ],
+                        );
+                        tel.crash_dump("stall");
+                    }
+                }
+                return Err(e);
+            }
+        };
+        // Every not-yet-billed control-plane byte (control frames plus
+        // all payload envelopes) goes to the server row.
+        let control = self.tap.snapshot().control_bytes;
+        ctx.traffic
+            .record_control(control.saturating_sub(self.billed_control));
+        self.billed_control = control;
+        // Catch-up traffic since the last round is priced like any other
+        // transfer: the DES charges the framed resync bytes over the
+        // same links the round's payloads contend on.
+        if !self.pending_resync.is_empty() {
+            let resync = std::mem::take(&mut self.pending_resync);
+            let t = ctx.price_p2p(&resync);
+            rep.comm_time_s += t.transfer_s;
+            rep.round_time_s += t.transfer_s;
+        }
+        if tel.is_enabled() {
+            tel.add("cluster.rounds", 1);
+            let w = self.tap.snapshot();
+            tel.set_gauge("wire.data_bytes", w.data_bytes as f64);
+            tel.set_gauge("wire.control_bytes", w.control_bytes as f64);
+            tel.set_gauge("wire.model_bytes", w.model_bytes as f64);
+            tel.set_gauge("wire.serve_bytes", w.serve_bytes as f64);
+            tel.set_gauge("wire.total_bytes", w.total_bytes as f64);
+            tel.set_gauge("wire.frames", w.frames as f64);
+            // Resyncs ran between rounds; surface the log's tail now
+            // that their bytes are priced into this round's timing.
+            for r in &self.resync_log[self.resync_emitted..] {
+                tel.add("cluster.resyncs", 1);
+                tel.event(
+                    "resync",
+                    Some(self.round),
+                    vec![
+                        ("rank", u64::from(r.rank).into()),
+                        ("donor", u64::from(r.donor).into()),
+                        ("wire_bytes", r.wire_bytes.into()),
+                        ("blob_bytes", r.blob_bytes.into()),
+                        ("chunks", u64::from(r.chunks).into()),
+                        ("sources", (r.sources.len() as u64).into()),
+                        ("retries", r.retries.into()),
+                    ],
+                );
+            }
+            self.resync_emitted = self.resync_log.len();
+        }
+        self.tap.take_transfers();
+        Ok(rep)
+    }
+
+    fn resync(
+        &mut self,
+        round: u64,
+        joiner: usize,
+        peers: &[usize],
+        flat_of: &dyn Fn(usize) -> Vec<f32>,
+    ) -> Result<Vec<f32>, ClusterError> {
+        let res = self.download(round, joiner, peers, flat_of);
+        if let (Err(e), true) = (&res, self.telemetry.is_enabled()) {
+            self.telemetry.add("cluster.resync_failures", 1);
+            let donor = match e {
+                ClusterError::ResyncFailed { donor, .. } => u64::from(*donor),
+                _ => joiner as u64,
+            };
+            self.telemetry.event(
+                "resync.failed",
+                Some(round),
+                vec![
+                    ("rank", (joiner as u64).into()),
+                    ("donor", donor.into()),
+                    ("detail", format!("{e}").into()),
+                ],
+            );
+            self.telemetry.crash_dump("resync failed");
+        }
+        res
+    }
+
+    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
+        self.bw = Some(bw.clone());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use saps_netsim::TrafficAccountant;
+
+    fn fabric() -> (Framed<LoopbackTransport>, WireTap) {
+        let tap = WireTap::new();
+        (Framed::loopback(tap.clone()), tap)
+    }
+
+    #[test]
+    fn payloads_round_trip_and_send_reports_the_framed_length() {
+        let (mut x, tap) = fabric();
+        let sparse = Payload::Sparse {
+            indices: vec![0, 5],
+            values: vec![1.5, -2.5],
+        };
+        let sent = [
+            (Payload::Dense(vec![0.25; 3]), Shape::Dense(3)),
+            (sparse, Shape::Sparse { dim: 6 }),
+            (Payload::Masked(vec![f32::MIN_POSITIVE]), Shape::Masked(1)),
+        ];
+        let mut framed = 0;
+        for (payload, _) in &sent {
+            let bytes = x.send(1, Node::Worker(2), payload.clone()).unwrap();
+            assert!(bytes > payload.value_bytes(), "the envelope is on the link");
+            framed += bytes;
+        }
+        let stats = Payload::Stats {
+            loss: 0.1,
+            acc: 0.9,
+        };
+        framed += x.send(1, Node::Coordinator, stats.clone()).unwrap();
+        assert_eq!(tap.snapshot().total_bytes, framed);
+        for (payload, shape) in sent {
+            assert_eq!(x.recv(Node::Worker(2), 1, shape).unwrap(), payload);
+        }
+        assert_eq!(x.recv(Node::Coordinator, 1, Shape::Stats).unwrap(), stats);
+    }
+
+    #[test]
+    fn a_receiver_names_its_sender_whatever_arrived_first() {
+        let (mut x, _) = fabric();
+        for from in [3, 1, 2] {
+            x.send(from, Node::Worker(0), Payload::Dense(vec![from as f32]))
+                .unwrap();
+        }
+        for from in [1, 2, 3] {
+            let got = x.recv_dense(Node::Worker(0), from, 1).unwrap();
+            assert_eq!(got, vec![from as f32]);
+        }
+    }
+
+    #[test]
+    fn unrequested_frames_are_typed_protocol_errors() {
+        let (mut x, _) = fabric();
+        let protocol = |r: Result<Payload, ClusterError>| match r {
+            Err(ClusterError::Protocol(msg)) => msg,
+            other => panic!("expected a protocol error, got {other:?}"),
+        };
+        // Wrong shape: two values where three were expected.
+        x.send(1, Node::Worker(0), Payload::Dense(vec![0.0; 2]))
+            .unwrap();
+        let msg = protocol(x.recv(Node::Worker(0), 1, Shape::Dense(3)));
+        assert!(msg.contains("expected Dense(3)"), "{msg}");
+        // An index the receiver could not address.
+        let wild = Payload::Sparse {
+            indices: vec![9],
+            values: vec![1.0],
+        };
+        x.send(1, Node::Worker(0), wild).unwrap();
+        let msg = protocol(x.recv(Node::Worker(0), 1, Shape::Sparse { dim: 4 }));
+        assert!(msg.contains("strictly ascending selection of 4"), "{msg}");
+        // A frame stamped with another round.
+        let stale = frame::encode(&Message::DensePayload {
+            round: 7,
+            values: vec![0.0],
+        });
+        x.transport
+            .send(Addr::Worker(1), Addr::Worker(0), stale)
+            .unwrap();
+        let msg = protocol(x.recv(Node::Worker(0), 1, Shape::Dense(1)));
+        assert!(msg.contains("for round 7 during round 0"), "{msg}");
+        // A frame the baselines never exchange.
+        let join = frame::encode(&Message::Join { rank: 1 });
+        x.transport
+            .send(Addr::Worker(1), Addr::Worker(0), join)
+            .unwrap();
+        let msg = protocol(x.recv(Node::Worker(0), 1, Shape::Dense(1)));
+        assert!(msg.contains("got Join"), "{msg}");
+    }
+
+    #[test]
+    fn closing_a_round_bills_exactly_the_unbilled_control_bytes() {
+        let (mut x, tap) = fabric();
+        let bw = BandwidthMatrix::constant(2, 1.0);
+        let mut traffic = TrafficAccountant::new(2);
+        for round in 0..2u64 {
+            let mut ctx = RoundCtx::new(round as usize, &bw, &mut traffic, 0);
+            x.begin_round(round, &ctx);
+            x.send(0, Node::Worker(1), Payload::Dense(vec![0.0; 4]))
+                .unwrap();
+            x.recv_dense(Node::Worker(1), 0, 4).unwrap();
+            x.end_round(&mut ctx, Ok(RoundReport::new())).unwrap();
+            ctx.traffic.end_round();
+        }
+        let wire = tap.snapshot();
+        assert_eq!(wire.data_bytes, 2 * 16);
+        assert_eq!(traffic.server_total(), wire.control_bytes);
+        assert_eq!(
+            traffic.rounds()[0].server_bytes,
+            traffic.rounds()[1].server_bytes
+        );
+    }
+
+    #[test]
+    fn unreachable_peers_never_serve_a_joiner() {
+        let (mut x, _) = fabric();
+        assert_eq!(x.rank_peers(3, &[0, 1, 2]), vec![0, 1, 2], "no snapshot");
+        let mut bw = BandwidthMatrix::constant(4, 10.0);
+        bw.set(1, 3, 100.0);
+        bw.set(0, 3, 0.0);
+        x.refresh_bandwidth(&bw);
+        assert_eq!(x.rank_peers(3, &[0, 1, 2]), vec![1, 2]);
+        bw.set(1, 3, 0.0);
+        bw.set(2, 3, 0.0);
+        x.refresh_bandwidth(&bw);
+        let err = x
+            .resync(0, 3, &[0, 1, 2], &|_| vec![0.0; 8])
+            .expect_err("no peer is reachable");
+        assert!(matches!(err, ClusterError::ResyncFailed { rank: 3, .. }));
+    }
+}

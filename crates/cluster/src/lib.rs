@@ -30,11 +30,15 @@
 //!   joiners catch up by fanning chunk requests across multiple peers
 //!   (ranked from the bandwidth snapshot) instead of pulling one
 //!   monolithic `FinalModel` frame from a single donor;
-//! * [`BaselineClusterTrainer`] — the seven comparison algorithms
-//!   (PSGD, D-PSGD, DCD-PSGD, TopK-PSGD, FedAvg, S-FedAvg,
-//!   RandomChoose) as framed message exchanges over the same
-//!   transports, so [`cluster_registry`] covers every algorithm key the
-//!   in-memory registry does.
+//! * [`Framed`] — the exchange fabric that puts the seven comparison
+//!   algorithms (PSGD, D-PSGD, DCD-PSGD, TopK-PSGD, FedAvg, S-FedAvg,
+//!   RandomChoose) on the same transports. The algorithms themselves
+//!   live once, in [`saps_baselines`], generic over
+//!   [`saps_baselines::Exchange`]; this crate only carries their
+//!   payloads as frames, so [`cluster_registry`] registers the same
+//!   seven trainers the in-memory registry does
+//!   (`PsgdAllReduce::over(fleet, Framed::loopback(tap))` for one by
+//!   hand).
 //!
 //! **The headline invariant** (pinned by `tests/cluster_conformance.rs`
 //! at the workspace root): a cluster-driven run is bit-identical in
@@ -75,22 +79,20 @@
 
 #![deny(missing_docs)]
 
-mod baseline;
 mod chunks;
 mod error;
 mod faults;
+mod framed;
 mod node;
 #[cfg(feature = "tcp")]
 pub mod tcp;
 mod trainer;
 mod transport;
 
-pub use baseline::{
-    register_cluster_baselines, BaselineClusterTrainer, BaselineKind, ResyncMode, ResyncReport,
-};
 pub use chunks::{ChunkManifest, ChunkOutcome, DownloadScheduler, DEFAULT_CHUNK_BYTES};
 pub use error::ClusterError;
 pub use faults::{FaultPlan, FaultScope, FaultyTransport, PlanHandle};
+pub use framed::{Framed, ResyncReport};
 pub use node::{CoordinatorNode, DownloadReport, NodeSnapshot, Outbox, RoundMeta, WorkerNode};
 pub use trainer::{cluster_registry, ClusterTrainer};
 pub use transport::{Addr, LoopbackTransport, Transport, WireStats, WireTap, WireTransfer};

@@ -817,15 +817,19 @@ fn into_config(e: ClusterError) -> ConfigError {
 }
 
 /// An [`AlgorithmRegistry`] covering every key the in-memory
-/// [`saps_baselines::registry`] covers, each built as a cluster driver
-/// over the loopback transport metering through `tap`: `"saps"` as a
-/// [`ClusterTrainer`], the seven baselines as
-/// [`crate::BaselineClusterTrainer`]s. Hand it to
+/// [`saps_baselines::registry`] covers, each running over the loopback
+/// transport metering through `tap`: `"saps"` as a [`ClusterTrainer`],
+/// the seven baselines as the [`saps_baselines`] trainers over a
+/// [`crate::Framed`] fabric (registered by the same
+/// [`saps_baselines::register_baselines`] table). Hand it to
 /// [`saps_core::Experiment::run`] to execute a whole experiment through
 /// the wire protocol.
 pub fn cluster_registry(tap: WireTap) -> AlgorithmRegistry {
     let mut reg = AlgorithmRegistry::empty();
-    crate::baseline::register_cluster_baselines(&mut reg, &tap);
+    let fabric_tap = tap.clone();
+    saps_baselines::register_baselines(&mut reg, move || {
+        crate::Framed::loopback(fabric_tap.clone())
+    });
     reg.register(
         "saps",
         move |spec: &AlgorithmSpec, ctx: saps_core::BuildCtx<'_>| {

@@ -1,12 +1,12 @@
 //! The chunked model-distribution plane, end to end.
 //!
-//! Joiner catch-up used to ship the whole model as one monolithic
-//! `FinalModel` frame from a single pinned donor. These tests pin the
-//! replacement — an epoch-stamped chunk manifest plus a multi-peer
-//! download scheduler — to the properties that make it safe to ship:
+//! A joiner catches up from an epoch-stamped chunk manifest through a
+//! multi-peer download scheduler. These tests pin that path to the
+//! properties that make it safe to ship:
 //!
 //! 1. **Bit-identity** — a chunk-fetched resync installs parameters
-//!    bit-identical to the monolithic path, whatever mix of peers
+//!    bit-identical to the in-memory fabric's plain copy of a live
+//!    replica (the same trainer over `Direct`), whatever mix of peers
 //!    served the pieces (runs inside the CI determinism matrix,
 //!    `SAPS_THREADS ∈ {1, 2}`).
 //! 2. **Accounting** — catch-up traffic rides the model plane: the
@@ -23,20 +23,22 @@
 //!    `zoo::flash_crowd` wave of 100+ simultaneous joiners, each
 //!    sourcing chunks from at least two distinct peers (CI runs it as a
 //!    dedicated step).
+//! 6. **Severed links are not fetched across** — the serving peers are
+//!    ranked from the *current* bandwidths, and a peer whose link to the
+//!    joiner is down serves nothing.
 
-use saps::cluster::Addr;
+use saps::baselines::{Direct, Exchange, Fleet, PsgdAllReduce};
 use saps::cluster::{
-    BaselineClusterTrainer, BaselineKind, ClusterTrainer, FaultPlan, FaultScope, FaultyTransport,
-    LoopbackTransport, ResyncMode, WireTap,
+    cluster_registry, Addr, ClusterTrainer, FaultPlan, FaultScope, FaultyTransport, Framed,
+    LoopbackTransport, Transport, WireTap,
 };
 use saps::core::{
-    zoo as scenario_zoo, ParallelismPolicy, RoundCtx, SapsConfig, ScenarioEvent, Trainer,
+    zoo as scenario_zoo, AlgorithmSpec, Experiment, RoundCtx, SapsConfig, ScenarioEvent, Trainer,
 };
 use saps::data::{partition, Dataset, SyntheticSpec};
 use saps::netsim::{BandwidthMatrix, TrafficAccountant};
 use saps::nn::zoo;
 use saps::tensor::rng::{derive_seed, streams};
-use saps_bench::throughput::{self, ThroughputEntry, BENCH_FILE};
 
 const SEED: u64 = 37;
 
@@ -56,25 +58,32 @@ fn model(rng: &mut rand::rngs::StdRng) -> saps::nn::Model {
     zoo::mlp(&[16, 20, 4], rng)
 }
 
-fn psgd(
+/// P-SGD — the baseline that resyncs a joiner — over `fabric`.
+fn psgd<X: Exchange>(workers: usize, fabric: X) -> PsgdAllReduce<X> {
+    let fleet = Fleet::with_partitions(parts(workers), model, SEED, 16, 0.1).unwrap();
+    PsgdAllReduce::over(fleet, fabric).unwrap()
+}
+
+/// [`psgd`] on the wire: `chunk`-byte chunks over `transport`, serving
+/// peers ranked by `bw`.
+fn wire_psgd<T: Transport>(
     workers: usize,
     bw: &BandwidthMatrix,
-    mode: ResyncMode,
+    transport: T,
     tap: WireTap,
-) -> BaselineClusterTrainer<LoopbackTransport> {
-    BaselineClusterTrainer::loopback(
-        BaselineKind::Psgd,
-        parts(workers),
-        model,
-        SEED,
-        16,
-        0.1,
-        tap,
-    )
-    .unwrap()
-    .with_resync_mode(mode)
-    .with_chunk_size(CHUNK)
-    .with_bandwidth(bw)
+    chunk: u32,
+) -> PsgdAllReduce<Framed<T>> {
+    let mut trainer = psgd(workers, Framed::new(transport, tap).with_chunk_size(chunk));
+    trainer.refresh_bandwidth(bw);
+    trainer
+}
+
+fn loopback_psgd(
+    workers: usize,
+    bw: &BandwidthMatrix,
+    tap: WireTap,
+) -> PsgdAllReduce<Framed<LoopbackTransport>> {
+    wire_psgd(workers, bw, LoopbackTransport::new(tap.clone()), tap, CHUNK)
 }
 
 fn step(trainer: &mut impl Trainer, round: usize, bw: &BandwidthMatrix) -> f32 {
@@ -84,16 +93,15 @@ fn step(trainer: &mut impl Trainer, round: usize, bw: &BandwidthMatrix) -> f32 {
 }
 
 /// Bit-identity conformance: the chunked multi-peer resync installs the
-/// exact bytes the monolithic single-donor frame would have — across a
-/// leave/rejoin cycle, every worker, every parameter.
+/// exact parameters the in-memory fabric copies from a live replica —
+/// across a leave/rejoin cycle, every worker, every parameter.
 #[test]
-fn chunked_resync_is_bit_identical_to_monolithic() {
+fn chunked_resync_is_bit_identical_to_in_memory() {
     let workers = 6;
     let bw = BandwidthMatrix::constant(workers, 50.0);
-    let tap_mono = WireTap::new();
     let tap_chunk = WireTap::new();
-    let mut mono = psgd(workers, &bw, ResyncMode::Monolithic, tap_mono);
-    let mut chunk = psgd(workers, &bw, ResyncMode::Chunked, tap_chunk.clone());
+    let mut mono = psgd(workers, Direct::new());
+    let mut chunk = loopback_psgd(workers, &bw, tap_chunk.clone());
 
     for round in 0..8 {
         if round == 3 {
@@ -107,8 +115,7 @@ fn chunked_resync_is_bit_identical_to_monolithic() {
             let after = tap_chunk.snapshot();
 
             // The rejoin fanned real chunks over multiple peers...
-            let rep = chunk.resync_log().last().unwrap().clone();
-            assert_eq!(rep.mode, ResyncMode::Chunked);
+            let rep = chunk.fabric().resync_log().last().unwrap().clone();
             assert_eq!(rep.rank, 4);
             assert!(rep.chunks > 1, "model must split into several chunks");
             assert!(
@@ -133,9 +140,9 @@ fn chunked_resync_is_bit_identical_to_monolithic() {
     }
     for r in 0..workers {
         assert_eq!(
-            mono.worker_params(r),
-            chunk.worker_params(r),
-            "worker {r}: chunked resync diverged from the monolithic path"
+            mono.fleet().worker(r).flat(),
+            chunk.fleet().worker(r).flat(),
+            "worker {r}: chunked resync diverged from the in-memory copy"
         );
     }
 }
@@ -205,31 +212,18 @@ fn saps_joiner_catches_up_from_published_epoch() {
 
 /// A wire that drops and corrupts chunk frames: every lost piece is
 /// re-sourced (rotating peers) and the assembled model is still
-/// bit-identical to a clean monolithic resync.
+/// bit-identical to the in-memory run of the same schedule.
 #[test]
 fn chunk_hostile_wire_still_resyncs_bit_identically() {
     let workers = 6;
     let bw = BandwidthMatrix::constant(workers, 10.0);
-    // Reference: a clean monolithic run of the same schedule.
-    let mut mono = psgd(workers, &bw, ResyncMode::Monolithic, WireTap::new());
+    // Reference: the same schedule with every exchange in memory.
+    let mut mono = psgd(workers, Direct::new());
 
     let tap = WireTap::new();
     let faulty = FaultyTransport::new(LoopbackTransport::new(tap.clone()), FaultPlan::none(), 991);
     let plan = faulty.plan_handle();
-    let mut hostile = BaselineClusterTrainer::with_transport(
-        BaselineKind::Psgd,
-        parts(workers),
-        model,
-        SEED,
-        16,
-        0.1,
-        faulty,
-        tap,
-    )
-    .unwrap()
-    .with_resync_mode(ResyncMode::Chunked)
-    .with_chunk_size(64)
-    .with_bandwidth(&bw);
+    let mut hostile = wire_psgd(workers, &bw, faulty, tap, 64);
 
     for round in 0..6 {
         if round == 2 {
@@ -243,7 +237,7 @@ fn chunk_hostile_wire_still_resyncs_bit_identically() {
             plan.set(FaultPlan::none().with_drop(0.2).with_corrupt(0.15));
             hostile.set_worker_active(1, true).unwrap();
             plan.set(FaultPlan::none());
-            let rep = hostile.resync_log().last().unwrap();
+            let rep = hostile.fabric().resync_log().last().unwrap();
             assert!(
                 rep.retries > 0,
                 "the storm must have forced at least one re-source"
@@ -255,8 +249,8 @@ fn chunk_hostile_wire_still_resyncs_bit_identically() {
     }
     for r in 0..workers {
         assert_eq!(
-            mono.worker_params(r),
-            hostile.worker_params(r),
+            mono.fleet().worker(r).flat(),
+            hostile.fleet().worker(r).flat(),
             "worker {r}: hostile-wire resync diverged"
         );
     }
@@ -279,19 +273,7 @@ fn dead_donor_falls_back_to_the_next_live_peer() {
     let tap = WireTap::new();
     let faulty = FaultyTransport::new(LoopbackTransport::new(tap.clone()), FaultPlan::none(), 17);
     let plan = faulty.plan_handle();
-    let mut trainer = BaselineClusterTrainer::with_transport(
-        BaselineKind::Psgd,
-        parts(workers),
-        model,
-        SEED,
-        16,
-        0.1,
-        faulty,
-        tap,
-    )
-    .unwrap()
-    .with_chunk_size(CHUNK)
-    .with_bandwidth(&bw);
+    let mut trainer = wire_psgd(workers, &bw, faulty, tap, CHUNK);
 
     trainer.set_worker_active(0, false).unwrap();
     // The donor's replies never arrive.
@@ -303,7 +285,7 @@ fn dead_donor_falls_back_to_the_next_live_peer() {
     trainer.set_worker_active(0, true).unwrap();
     plan.set(FaultPlan::none());
 
-    let rep = trainer.resync_log().last().unwrap();
+    let rep = trainer.fabric().resync_log().last().unwrap();
     assert_eq!(rep.donor, 3, "rank 3 must be the preferred donor");
     assert!(
         !rep.sources.contains(&3),
@@ -312,7 +294,10 @@ fn dead_donor_falls_back_to_the_next_live_peer() {
     assert!(!rep.sources.is_empty(), "fallback peers served the model");
     assert!(rep.retries > 0);
     // The fallback still lands bit-exactly on the fleet's model.
-    assert_eq!(trainer.worker_params(0), trainer.worker_params(1));
+    assert_eq!(
+        trainer.fleet().worker(0).flat(),
+        trainer.fleet().worker(1).flat()
+    );
 }
 
 /// A wire that eats everything surfaces the typed failure, never a
@@ -328,19 +313,7 @@ fn total_frame_loss_surfaces_typed_resync_failure() {
         FaultPlan::none().with_drop(1.0),
         3,
     );
-    let mut trainer = BaselineClusterTrainer::with_transport(
-        BaselineKind::Psgd,
-        parts(workers),
-        model,
-        SEED,
-        16,
-        0.1,
-        faulty,
-        tap,
-    )
-    .unwrap()
-    .with_chunk_size(CHUNK)
-    .with_bandwidth(&bw);
+    let mut trainer = wire_psgd(workers, &bw, faulty, tap, CHUNK);
 
     trainer.set_worker_active(2, false).unwrap();
     let err = trainer
@@ -365,7 +338,7 @@ fn flash_crowd_rejoin_fans_over_peers() {
     let cohort: Vec<usize> = (8..108).collect(); // 100 simultaneous joiners
     let bw = BandwidthMatrix::constant(workers, 40.0);
     let tap = WireTap::new();
-    let mut trainer = psgd(workers, &bw, ResyncMode::Chunked, tap.clone());
+    let mut trainer = loopback_psgd(workers, &bw, tap.clone());
 
     let events = scenario_zoo::flash_crowd(workers, &cohort, 1, 2);
     let mut billed = TrafficAccountant::new(workers);
@@ -389,11 +362,10 @@ fn flash_crowd_rejoin_fans_over_peers() {
         assert!(loss.is_finite(), "round {round}");
     }
 
-    let log = trainer.resync_log();
+    let log = trainer.fabric().resync_log();
     assert_eq!(log.len(), cohort.len(), "one resync per joiner");
     let mut wave_bytes = 0u64;
     for rep in log {
-        assert_eq!(rep.mode, ResyncMode::Chunked);
         assert!(
             rep.sources.len() >= 2,
             "joiner {} sourced from only {} peer(s)",
@@ -403,10 +375,10 @@ fn flash_crowd_rejoin_fans_over_peers() {
         wave_bytes += rep.wire_bytes;
     }
     // Every joiner landed on the same model...
-    let reference = trainer.worker_params(0);
+    let reference = trainer.fleet().worker(0).flat();
     for &r in &cohort {
         assert_eq!(
-            trainer.worker_params(r),
+            trainer.fleet().worker(r).flat(),
             reference,
             "joiner {r} diverged after catch-up"
         );
@@ -429,63 +401,73 @@ fn flash_crowd_rejoin_fans_over_peers() {
     );
 }
 
-/// Resync throughput, monolithic vs chunked: drives the same batch of
-/// joiner catch-ups through both modes and, with `SAPS_SCALE_RECORD=1`,
-/// merges a row per mode into `BENCH_round_throughput.json` (drivers
-/// `"cluster-resync-monolithic"` / `"cluster-resync-chunked"`) so the
-/// bytes/time cost of the chunk plane is pinned next to the round
-/// throughput numbers.
+/// Regression (stale bandwidth snapshot in wire resync): the joiner's
+/// serving peers must be ranked from the bandwidths in effect *now*,
+/// not the construction-time matrix. Rank 2 has by far the fastest
+/// link to rank 5 at build time; the link is severed while 5 is away.
+/// Fetching across it priced the next round's catch-up traffic over a
+/// dead link — `comm_time_s = inf` from the rejoin on.
 #[test]
-#[ignore = "resync benchmark; run explicitly (CI chunk step) with --ignored"]
-fn resync_throughput_monolithic_vs_chunked() {
-    const FLEET: usize = 64;
-    let cohort: Vec<usize> = (4..20).collect(); // 16 joiners per mode
-    let bw = BandwidthMatrix::constant(FLEET, 40.0);
+fn resync_never_fetches_across_a_severed_link() {
+    let workers = 6;
+    let mut bw = BandwidthMatrix::constant(workers, 10.0);
+    bw.set(2, 5, 100.0);
 
-    let mut rows = Vec::new();
-    for (mode, driver) in [
-        (ResyncMode::Monolithic, "cluster-resync-monolithic"),
-        (ResyncMode::Chunked, "cluster-resync-chunked"),
-    ] {
-        let tap = WireTap::new();
-        let mut trainer = psgd(FLEET, &bw, mode, tap.clone());
-        let _ = step(&mut trainer, 0, &bw);
-        for &r in &cohort {
-            trainer.set_worker_active(r, false).unwrap();
-        }
-        let before = tap.snapshot().model_bytes;
-        let start = std::time::Instant::now();
-        for &r in &cohort {
-            trainer.set_worker_active(r, true).unwrap();
-        }
-        let wall_s = start.elapsed().as_secs_f64();
-        let resync_bytes = tap.snapshot().model_bytes - before;
-
-        // Both modes must move the same blob bytes per joiner; chunked
-        // adds only the manifest + request overhead.
-        let logged: u64 = trainer
-            .resync_log()
-            .iter()
-            .rev()
-            .take(cohort.len())
-            .map(|r| r.wire_bytes)
-            .sum();
-        assert_eq!(resync_bytes, logged, "{driver}: tap disagrees with log");
-
-        rows.push(ThroughputEntry {
-            algorithm: "P-SGD".to_string(),
-            workload: "Synthetic-MLP (tiny)".to_string(),
-            workers: FLEET,
-            threads: ParallelismPolicy::Auto.resolve(),
-            driver: driver.to_string(),
-            telemetry: false,
-            rounds: cohort.len(), // one "round" per joiner resync
-            wall_s,
-            rounds_per_sec: cohort.len() as f64 / wall_s.max(f64::MIN_POSITIVE),
-            wire_mb: resync_bytes as f64 / (1024.0 * 1024.0),
-        });
+    // Through the experiment driver, as a scenario: every round's time
+    // stays finite on the wire and the loss trace is the in-memory one.
+    let (train, val) = SyntheticSpec::tiny()
+        .samples(900)
+        .generate(5)
+        .split(0.25, 0);
+    let run = |registry| {
+        Experiment::new(AlgorithmSpec::Psgd)
+            .train(train.clone())
+            .validation(val.clone())
+            .workers(workers)
+            .batch_size(16)
+            .seed(SEED)
+            .bandwidth_matrix(bw.clone())
+            .model(model)
+            .rounds(8)
+            .eval_every(8)
+            .eval_samples(100)
+            .event(2, ScenarioEvent::WorkerLeave { rank: 5 })
+            .event(
+                3,
+                ScenarioEvent::LinkChange {
+                    a: 2,
+                    b: 5,
+                    mbps: 0.0,
+                },
+            )
+            .event(5, ScenarioEvent::WorkerJoin { rank: 5 })
+            .run(&registry)
+            .unwrap()
+    };
+    let wire = run(cluster_registry(WireTap::new()));
+    let mem = run(saps::baselines::registry());
+    for (w, m) in wire.points.iter().zip(&mem.points) {
+        assert!(
+            w.comm_time_s.is_finite(),
+            "round {}: catch-up priced over a dead link",
+            w.round
+        );
+        assert_eq!(w.train_loss.to_bits(), m.train_loss.to_bits());
     }
-    if std::env::var("SAPS_SCALE_RECORD").is_ok() {
-        throughput::record(std::path::Path::new(BENCH_FILE), &rows).unwrap();
-    }
+
+    // By hand, to see who served: rank 2 would rank first on the stale
+    // matrix and must not appear among the sources.
+    let mut trainer = loopback_psgd(workers, &bw, WireTap::new());
+    trainer.set_worker_active(5, false).unwrap();
+    bw.set(2, 5, 0.0);
+    trainer.refresh_bandwidth(&bw);
+    trainer.set_worker_active(5, true).unwrap();
+    let rep = trainer.fabric().resync_log().last().unwrap();
+    assert!(!rep.sources.is_empty());
+    assert!(
+        !rep.sources.contains(&2),
+        "rank 2 served chunks across its severed link: {:?}",
+        rep.sources
+    );
+    assert!(step(&mut trainer, 0, &bw).is_finite());
 }

@@ -1,5 +1,8 @@
 //! Cluster ↔ in-memory conformance: the headline invariant of the
-//! message-driven runtime.
+//! message-driven runtime. (Tests 1–3 police the SAPS twin,
+//! `core::SapsPsgd` vs `ClusterTrainer`; the seven baselines have one
+//! implementation each, and the matrix at the bottom checks the framed
+//! fabric against the in-memory one.)
 //!
 //! 1. **Bit-identity** — a cluster-driven SAPS run (every round through
 //!    real serialized `saps-proto` frames over the loopback transport)
@@ -383,21 +386,19 @@ fn build_ctx<'a>(train: &Dataset, workers: usize, bw: &'a BandwidthMatrix) -> Bu
 }
 
 #[test]
-fn cluster_registry_covers_every_in_memory_key() {
-    let mem: Vec<&'static str> = saps::baselines::registry().keys().collect();
-    let clu: Vec<&'static str> = cluster_registry(WireTap::new()).keys().collect();
-    assert_eq!(mem, clu, "registries must register the same algorithms");
-    assert_eq!(mem.len(), 8);
-}
-
-#[test]
 fn all_eight_algorithms_are_bit_identical_on_the_wire() {
-    // The matrix: every registered algorithm, run through real framed
-    // message exchanges over the loopback transport, against the
-    // in-memory trainer of the same spec — bit-identical per-round
-    // loss/accuracy, link stats, per-worker traffic rows, consensus
-    // evaluation, and checkpoint bytes, across a leave + rejoin. Runs
-    // inside the CI determinism matrix (`SAPS_THREADS ∈ {1, 2}`).
+    // The matrix: every registered algorithm over the wire against the
+    // same spec in memory — bit-identical per-round loss/accuracy, link
+    // stats, per-worker traffic rows, consensus evaluation, and
+    // checkpoint bytes, across a leave + rejoin. For the seven baselines
+    // both sides are the *same trainer*; what this checks is the
+    // `Framed` fabric against `Direct`: that f32/f64 values survive the
+    // frame round-trip, that selective receive preserves each fold
+    // order, that the chunked resync installs what a plain copy does,
+    // and that worker rows are billed alike while the wire adds only
+    // its control plane. For SAPS it still polices the remaining twin
+    // (`core::SapsPsgd` vs `ClusterTrainer`). Runs inside the CI
+    // determinism matrix (`SAPS_THREADS ∈ {1, 2}`).
     let workers = 6;
     let (train, val) = dataset();
     let bw = BandwidthMatrix::constant(workers, 1.0);

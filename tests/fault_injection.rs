@@ -6,10 +6,11 @@
 //!
 //! 1. **Tolerated faults are invisible** — delays and reorders change
 //!    only delivery schedules; every round's loss and every worker's
-//!    parameters stay bit-identical to a clean run.
+//!    parameters stay bit-identical to a clean run — for SAPS and for
+//!    each of the seven baselines over the `Framed` fabric.
 //! 2. **Lost frames surface as typed errors** — a transport that
-//!    silently drops frames produces a stall error from
-//!    [`ClusterTrainer::try_step`], never a hang or a wrong answer.
+//!    silently drops frames produces a stall error from `try_step`
+//!    (SAPS and all seven baselines), never a hang or a wrong answer.
 //! 3. **Byzantine workers are quarantined and replayed away** — a
 //!    worker whose payloads are corrupt (or malformed) is expelled
 //!    mid-round and the round replays without it, leaving *every*
@@ -18,16 +19,23 @@
 //!    This is the acceptance criterion of the byzantine scenario; it
 //!    runs inside the CI determinism matrix (`SAPS_THREADS ∈ {1, 2}`).
 
-use saps::cluster::{
-    Addr, ClusterError, ClusterTrainer, FaultPlan, FaultScope, FaultyTransport, LoopbackTransport,
-    Outbox, WireTap, WorkerNode,
+use saps::baselines::{
+    register_baselines, DPsgd, DcdPsgd, FedAvg, FedAvgConfig, Fleet, PsgdAllReduce, RandomChoose,
+    SFedAvg, TopKPsgd,
 };
-use saps::core::{RoundCtx, SapsConfig, Trainer, Worker};
+use saps::cluster::{
+    cluster_registry, Addr, ClusterError, ClusterTrainer, FaultPlan, FaultScope, FaultyTransport,
+    Framed, LoopbackTransport, Outbox, WireTap, WorkerNode,
+};
+use saps::core::{
+    AlgorithmRegistry, AlgorithmSpec, BuildCtx, RoundCtx, RoundReport, SapsConfig, Trainer, Worker,
+};
 use saps::data::{partition, Dataset, SyntheticSpec};
 use saps::netsim::{BandwidthMatrix, TrafficAccountant};
 use saps::nn::zoo;
 use saps::proto::Message;
 use saps::tensor::rng::{derive_seed, streams};
+use std::sync::Arc;
 
 const SEED: u64 = 23;
 
@@ -85,7 +93,11 @@ fn faulty_trainer(
     .unwrap()
 }
 
-fn step(trainer: &mut impl Trainer, round: usize, traffic: &mut TrafficAccountant) -> f32 {
+fn step(
+    trainer: &mut (impl Trainer + ?Sized),
+    round: usize,
+    traffic: &mut TrafficAccountant,
+) -> f32 {
     let bw = BandwidthMatrix::constant(trainer.worker_count(), 1.0);
     let mut ctx = RoundCtx::new(round, &bw, traffic, SEED);
     trainer.step(&mut ctx).mean_loss
@@ -131,6 +143,134 @@ fn dropped_frames_surface_as_a_typed_stall_not_a_hang() {
             assert!(msg.contains("quiescent"), "unexpected stall message: {msg}")
         }
         other => panic!("expected a stall error, got {other:?}"),
+    }
+}
+
+type FaultyFabric = Framed<FaultyTransport<LoopbackTransport>>;
+
+fn faulty_fabric(plan: FaultPlan, seed: u64) -> FaultyFabric {
+    let tap = WireTap::new();
+    let transport = FaultyTransport::new(LoopbackTransport::new(tap.clone()), plan, seed);
+    Framed::new(transport, tap)
+}
+
+/// One spec per baseline, by registry key.
+fn baseline_specs() -> Vec<AlgorithmSpec> {
+    vec![
+        AlgorithmSpec::Psgd,
+        AlgorithmSpec::TopK { compression: 4.0 },
+        AlgorithmSpec::FedAvg {
+            participation: 0.5,
+            local_steps: 2,
+        },
+        AlgorithmSpec::SFedAvg {
+            participation: 0.5,
+            local_steps: 2,
+            compression: 4.0,
+        },
+        AlgorithmSpec::DPsgd,
+        AlgorithmSpec::DcdPsgd { compression: 4.0 },
+        AlgorithmSpec::RandomChoose { compression: 4.0 },
+    ]
+}
+
+/// The table, part one: for every baseline, a run through heavy delay +
+/// reorder weather is bit-identical — every round's loss, the final
+/// consensus checkpoint — to a run over a clean wire.
+#[test]
+fn baselines_are_bit_identical_under_delays_and_reorders() {
+    let workers = 6;
+    let bw = BandwidthMatrix::constant(workers, 1.0);
+    let ctx = || BuildCtx {
+        partitions: parts(workers),
+        bw: &bw,
+        batch_size: 16,
+        lr: 0.1,
+        seed: SEED,
+        factory: Arc::new(model),
+    };
+    let clean_reg = cluster_registry(WireTap::new());
+    let mut faulty_reg = AlgorithmRegistry::empty();
+    let plan = FaultPlan::none().with_delay(0.25).with_reorder(0.2);
+    register_baselines(&mut faulty_reg, move || faulty_fabric(plan, 77));
+    for spec in baseline_specs() {
+        let key = spec.key();
+        let mut clean = clean_reg.build(&spec, ctx()).unwrap();
+        let mut faulty = faulty_reg.build(&spec, ctx()).unwrap();
+        let (mut tc, mut tf) = (
+            TrafficAccountant::new(workers),
+            TrafficAccountant::new(workers),
+        );
+        for round in 0..8 {
+            // Churn keeps the ring-closing and resync paths in the storm.
+            if round == 3 || round == 6 {
+                clean.set_worker_active(4, round == 6).unwrap();
+                faulty.set_worker_active(4, round == 6).unwrap();
+            }
+            let lc = step(&mut *clean, round, &mut tc);
+            let lf = step(&mut *faulty, round, &mut tf);
+            assert_eq!(lc.to_bits(), lf.to_bits(), "{key}: round {round} loss");
+        }
+        assert_eq!(
+            clean.export_checkpoint().unwrap(),
+            faulty.export_checkpoint().unwrap(),
+            "{key}: consensus diverged under delay/reorder faults"
+        );
+    }
+}
+
+/// The table, part two: for every baseline, a wire that eats every
+/// frame surfaces from `try_step` as the typed stall.
+#[test]
+fn baselines_surface_dropped_frames_as_a_typed_stall() {
+    let workers = 4;
+    let bw = BandwidthMatrix::constant(workers, 1.0);
+    for spec in baseline_specs() {
+        let fleet = Fleet::with_partitions(parts(workers), model, SEED, 16, 0.1).unwrap();
+        let x = faulty_fabric(FaultPlan::none().with_drop(1.0), 3).with_stall_limit(50);
+        let mut traffic = TrafficAccountant::new(workers);
+        let ctx = &mut RoundCtx::new(0, &bw, &mut traffic, SEED);
+        let stepped: Result<RoundReport, ClusterError> = match spec {
+            AlgorithmSpec::Psgd => PsgdAllReduce::over(fleet, x).unwrap().try_step(ctx),
+            AlgorithmSpec::TopK { compression } => {
+                TopKPsgd::over(fleet, compression, x).unwrap().try_step(ctx)
+            }
+            AlgorithmSpec::FedAvg {
+                participation,
+                local_steps,
+            } => {
+                let cfg = FedAvgConfig {
+                    participation,
+                    local_steps,
+                };
+                FedAvg::over(fleet, cfg, SEED, x).unwrap().try_step(ctx)
+            }
+            AlgorithmSpec::SFedAvg {
+                participation,
+                local_steps,
+                compression,
+            } => SFedAvg::over(fleet, participation, local_steps, compression, SEED, x)
+                .unwrap()
+                .try_step(ctx),
+            AlgorithmSpec::DPsgd => DPsgd::over(fleet, x).unwrap().try_step(ctx),
+            AlgorithmSpec::DcdPsgd { compression } => {
+                DcdPsgd::over(fleet, compression, x).unwrap().try_step(ctx)
+            }
+            AlgorithmSpec::RandomChoose { compression } => {
+                RandomChoose::over(fleet, compression, SEED, x)
+                    .unwrap()
+                    .try_step(ctx)
+            }
+            other => unreachable!("{other:?} is not a baseline"),
+        };
+        match stepped {
+            Err(ClusterError::Protocol(msg)) => assert!(
+                msg.contains("quiescent"),
+                "{}: unexpected stall message: {msg}",
+                spec.key()
+            ),
+            other => panic!("{}: expected a stall error, got {other:?}", spec.key()),
+        }
     }
 }
 
