@@ -13,11 +13,13 @@
 //! bandwidth matrix, so Figs. 4-6 and Table IV compare like for like.
 //!
 //! **One implementation, any fabric.** Each trainer is generic over an
-//! [`Exchange`] — a small send/receive interface for typed
-//! [`Payload`]s — and every value a worker consumes from a peer is the
-//! value the fabric delivered to it. [`Direct`] (the default) hands
-//! values over in memory; `saps_cluster::Framed` carries the same
-//! trainers over real `saps-proto` frames. There is no second, wire-side
+//! [`Exchange`] — the small send/receive interface for typed
+//! [`Payload`]s that `saps-core` defines (SAPS-PSGD is written against
+//! it too) and this crate re-exports — and every value a worker
+//! consumes from a peer is the value the fabric delivered to it.
+//! [`Direct`] (the default) hands values over in memory;
+//! `saps_cluster::Framed` carries the same trainers over real
+//! `saps-proto` frames. There is no second, wire-side
 //! copy of any algorithm, so a wire run is bit-identical to an
 //! in-memory run by construction: `PsgdAllReduce::new(fleet)` and
 //! `PsgdAllReduce::over(fleet, Framed::loopback(tap))` are the same

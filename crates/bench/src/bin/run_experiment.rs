@@ -281,7 +281,7 @@ fn report_telemetry(recorder: &Recorder, dest: &str) {
         );
     }
     for ev in recorder.events() {
-        if ev.kind == "resync" || ev.kind == "resync.failed" || ev.kind == "chunk.catchup" {
+        if ev.kind == "resync" || ev.kind == "resync.failed" {
             eprintln!("# {}", ev.to_json());
         }
     }

@@ -1,5 +1,6 @@
 //! Cluster runtime errors.
 
+use crate::transport::Addr;
 use saps_core::ConfigError;
 use saps_proto::ProtoError;
 
@@ -16,13 +17,25 @@ pub enum ClusterError {
     /// destination).
     Transport(String),
     /// A node received a message the protocol does not allow in its
-    /// current state, or a round stalled with messages outstanding.
+    /// current state.
     Protocol(String),
+    /// The wire went silent: `at` waited the whole stall limit for a
+    /// frame of round `round` that never arrived (dropped, or its
+    /// sender is gone). A typed error after a bounded wait, never a
+    /// hang.
+    Stalled {
+        /// Where the awaited frame should have arrived.
+        at: Addr,
+        /// The round in progress.
+        round: u64,
+    },
     /// A worker sent provably invalid traffic — a frame that fails to
-    /// decode, or a payload violating the round's mask contract. The
-    /// trainer quarantines the rank and replays the round without it;
-    /// this variant surfaces when that recovery itself is impossible
-    /// (e.g. the fleet would drop below the minimum).
+    /// decode, or a payload of a shape the receiver did not ask for
+    /// (its checksum passed, so it is what the sender framed). The
+    /// SAPS-PSGD trainer quarantines the rank and replays the round
+    /// without it; this variant surfaces when that recovery itself is
+    /// impossible (e.g. the fleet would drop below the minimum), and
+    /// from the baselines, which do not recover.
     Byzantine {
         /// The offending worker's rank.
         rank: u32,
@@ -51,6 +64,11 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Config(e) => write!(f, "control request rejected: {e}"),
             ClusterError::Transport(e) => write!(f, "transport error: {e}"),
             ClusterError::Protocol(e) => write!(f, "protocol violation: {e}"),
+            ClusterError::Stalled { at, round } => write!(
+                f,
+                "protocol violation: transport quiescent waiting for a frame at {at} \
+                 (round {round})"
+            ),
             ClusterError::Byzantine { rank, detail } => {
                 write!(f, "byzantine worker {rank}: {detail}")
             }

@@ -1,15 +1,17 @@
-//! The SAPS-PSGD cluster runtime: Algorithms 1–2 as message-driven
-//! coordinator/worker nodes over a pluggable transport.
+//! The cluster runtime: every algorithm of the workspace over real
+//! serialized [`saps_proto`] frames and a pluggable transport.
 //!
-//! The in-memory [`saps_core::SapsPsgd`] trainer runs the paper's
-//! protocol as shared-memory method calls; this crate runs the *same
-//! protocol logic* (the same [`saps_core::SapsControl`] planning state,
-//! the same [`saps_core::Worker`] arithmetic) through real serialized
-//! [`saps_proto`] frames:
+//! The algorithms live elsewhere, once each — [`saps_core::SapsPsgd`]
+//! and the seven [`saps_baselines`] trainers, generic over
+//! [`saps_core::Exchange`]. This crate is the wire under them and holds
+//! no SGD step, mask or merge of its own:
 //!
-//! * [`CoordinatorNode`] / [`WorkerNode`] — the two sides of the
-//!   protocol as event-loop state machines (`handle(from, message) →
-//!   outgoing messages`), transport-agnostic and individually testable;
+//! * [`Framed`] — the exchange fabric: maps each fabric call to its
+//!   frame(s) (payloads, SAPS-PSGD's `NotifyTrain` / `RoundEnd` / `Join`
+//!   / `Leave` / `BandwidthReport` / `FetchModel` / `FinalModel`),
+//!   stamps and validates rounds, receives by sender with a stall limit,
+//!   attributes undecodable or mis-shaped frames to their sender, bills
+//!   the control plane, and runs a joiner's chunked catch-up;
 //! * [`Transport`] — the pluggable byte mover, with the deterministic
 //!   in-process [`LoopbackTransport`] as the default and a localhost
 //!   `tcp::TcpTransport` behind the `tcp` feature;
@@ -17,38 +19,33 @@
 //!   transport (drop / corrupt / delay / reorder per frame, scoped down
 //!   to one sender's payloads) — the adversary used by the workspace
 //!   fault-injection tests;
-//! * [`ClusterTrainer`] — a [`saps_core::Trainer`] that pumps the nodes
-//!   through a transport, so the standard [`saps_core::Experiment`]
-//!   driver (events, observers, evaluation cadence) runs a cluster
-//!   experiment end to end; worker message handling fans out across the
-//!   `saps-runtime` round engine;
+//! * [`ClusterTrainer`] — the constructors of SAPS-PSGD over a
+//!   [`Framed`] fabric (`ClusterTrainer::loopback(..)` is
+//!   `SapsPsgd::over(.., Framed::loopback(tap))`), and
+//!   [`cluster_registry`] — the eight-algorithm registry over the wire,
+//!   so the standard [`saps_core::Experiment`] driver (events,
+//!   observers, evaluation cadence) runs a cluster experiment end to
+//!   end;
 //! * [`WireTap`] / [`WireStats`] — per-class on-wire byte metering, the
-//!   ground truth the driver bills rounds from;
+//!   ground truth rounds are billed from;
 //! * [`ChunkManifest`] / [`DownloadScheduler`] — the chunked
-//!   model-distribution plane: checkpoints are published as an
-//!   epoch-stamped manifest of fixed-size checksummed chunks, and
-//!   joiners catch up by fanning chunk requests across multiple peers
-//!   (ranked from the bandwidth snapshot) instead of pulling one
-//!   monolithic `FinalModel` frame from a single donor;
-//! * [`Framed`] — the exchange fabric that puts the seven comparison
-//!   algorithms (PSGD, D-PSGD, DCD-PSGD, TopK-PSGD, FedAvg, S-FedAvg,
-//!   RandomChoose) on the same transports. The algorithms themselves
-//!   live once, in [`saps_baselines`], generic over
-//!   [`saps_baselines::Exchange`]; this crate only carries their
-//!   payloads as frames, so [`cluster_registry`] registers the same
-//!   seven trainers the in-memory registry does
-//!   (`PsgdAllReduce::over(fleet, Framed::loopback(tap))` for one by
-//!   hand).
+//!   model-distribution plane: a joiner catches up by fanning
+//!   checksum-verified chunk requests across multiple peers (ranked
+//!   from the bandwidth snapshot) instead of pulling one monolithic
+//!   frame from a single donor. [`Framed`]'s `resync` is its one
+//!   driver.
 //!
 //! **The headline invariant** (pinned by `tests/cluster_conformance.rs`
 //! at the workspace root): a cluster-driven run is bit-identical in
 //! training state and per-round loss to the in-memory run of the same
-//! spec, and the bytes framed on the wire reconcile exactly with the
-//! `TrafficAccountant` — each masked payload's values section (`4·nnz`)
-//! on the worker rows, every other byte on the server row. Round timing
-//! is priced from the full framed sizes, closing the loop between the
-//! `saps-netsim` time models and the wire. `docs/PROTOCOL.md` documents
-//! the frame layout and the per-message cost table.
+//! spec — by construction, since both are the same trainer — and the
+//! bytes framed on the wire reconcile exactly with the
+//! `TrafficAccountant`: each payload's values section (`4·nnz` for
+//! SAPS-PSGD) on the worker rows, every other byte on the server row.
+//! Round timing is priced from the full framed sizes, closing the loop
+//! between the `saps-netsim` time models and the wire.
+//! `docs/PROTOCOL.md` documents the frame layout and the per-message
+//! cost table.
 //!
 //! # Example
 //!
@@ -83,7 +80,6 @@ mod chunks;
 mod error;
 mod faults;
 mod framed;
-mod node;
 #[cfg(feature = "tcp")]
 pub mod tcp;
 mod trainer;
@@ -93,6 +89,5 @@ pub use chunks::{ChunkManifest, ChunkOutcome, DownloadScheduler, DEFAULT_CHUNK_B
 pub use error::ClusterError;
 pub use faults::{FaultPlan, FaultScope, FaultyTransport, PlanHandle};
 pub use framed::{Framed, ResyncReport};
-pub use node::{CoordinatorNode, DownloadReport, NodeSnapshot, Outbox, RoundMeta, WorkerNode};
 pub use trainer::{cluster_registry, ClusterTrainer};
 pub use transport::{Addr, LoopbackTransport, Transport, WireStats, WireTap, WireTransfer};

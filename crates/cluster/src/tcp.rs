@@ -8,7 +8,7 @@
 //! [`saps_proto::frame::FrameDecoder`], so arbitrary TCP segmentation is
 //! handled. Delivery is FIFO per sender (one ordered stream each) but
 //! unordered across senders — exactly the [`Transport`] contract the
-//! node state machines are written against.
+//! [`crate::Framed`] fabric is written against.
 //!
 //! This transport exists to prove the protocol runs over real sockets;
 //! it is in-process (all endpoints in one address space) and localhost

@@ -37,8 +37,8 @@ impl std::fmt::Display for Addr {
 /// The contract is datagram-like: one [`Transport::send`] delivers one
 /// complete frame to `to`'s inbox, and [`Transport::recv`] pops frames
 /// in an order that is FIFO *per sender* (stream transports may
-/// interleave senders arbitrarily; the node state machines tolerate
-/// that). Transports are lossless and unordered-across-senders — see
+/// interleave senders arbitrarily; the fabric receives by sender, so
+/// no trainer sees that). Transports are lossless and unordered-across-senders — see
 /// `docs/PROTOCOL.md` for the full contract.
 pub trait Transport {
     /// Queues `frame` from `from` to `to`.
@@ -92,8 +92,8 @@ struct TapInner {
 }
 
 /// A shared tap every transport reports sent frames to: cumulative
-/// [`WireStats`] plus the per-transfer data-plane log the cluster driver
-/// prices rounds from.
+/// [`WireStats`] (what control-plane billing reads) plus a
+/// per-transfer data-plane log for pricing mixed load.
 ///
 /// Cloning shares the underlying counters (it's an `Arc`), so a caller
 /// can keep one handle while the transport inside a running experiment
@@ -113,7 +113,7 @@ impl WireTap {
     }
 
     /// Drains the data-plane transfer log accumulated since the last
-    /// call (the driver calls this once per round).
+    /// call (the fabric drains it every round to keep it bounded).
     pub fn take_transfers(&self) -> Vec<WireTransfer> {
         std::mem::take(&mut self.0.lock().expect("wire tap lock").transfers)
     }

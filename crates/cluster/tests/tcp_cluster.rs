@@ -1,6 +1,6 @@
 //! End-to-end cluster run over real localhost TCP sockets (`--features
-//! tcp`): the same rounds, through the same state machines, with frames
-//! crossing the kernel — and still bit-identical to the loopback run.
+//! tcp`): the same rounds of the same trainer, with frames crossing the
+//! kernel — and still bit-identical to the loopback run.
 
 #![cfg(feature = "tcp")]
 
@@ -75,13 +75,13 @@ fn tcp_cluster_matches_loopback_bit_for_bit() {
     }
     for r in 0..workers {
         assert_eq!(
-            over_loopback.worker(r).worker().flat(),
-            over_tcp.worker(r).worker().flat(),
+            over_loopback.worker(r).flat(),
+            over_tcp.worker(r).flat(),
             "worker {r}"
         );
         assert_eq!(t_loop.worker_total(r), t_tcp.worker_total(r));
     }
     // Identical frames crossed both transports.
     assert_eq!(loop_tap.snapshot(), tcp_tap.snapshot());
-    over_tcp.shutdown().unwrap();
+    over_tcp.fabric_mut().shutdown(workers).unwrap();
 }

@@ -118,11 +118,10 @@ impl Coordinator {
 /// from, and the [`Coordinator`] generating round plans over the active
 /// subset.
 ///
-/// Both execution paths drive the algorithm through this one type — the
-/// in-memory [`crate::SapsPsgd`] trainer calls it directly, and the
-/// cluster runtime's coordinator node (`saps-cluster`) wraps it behind
-/// the wire protocol — so churn semantics, threshold selection and
-/// matching RNG streams cannot drift between them.
+/// [`crate::SapsPsgd`] drives the algorithm through this one type
+/// whichever fabric carries its messages: churn requests and bandwidth
+/// reports reach it as the values the fabric delivered to the
+/// coordinator.
 #[derive(Debug, Clone)]
 pub struct SapsControl {
     coordinator: Coordinator,
@@ -206,8 +205,8 @@ impl SapsControl {
     }
 
     /// The latest reported bandwidth snapshot — the same measurements
-    /// peer selection plans over. The cluster runtime ranks chunk-serving
-    /// peers for a joiner's catch-up download from this view.
+    /// peer selection plans over. [`crate::SapsPsgd::catch_up`] hands it
+    /// to the fabric, which ranks a joiner's serving peers from it.
     pub fn bandwidth_snapshot(&self) -> &BandwidthMatrix {
         &self.bw_snapshot
     }

@@ -13,7 +13,14 @@
 //! * [`Worker`] — Algorithm 2: local SGD plus the shared-seed sparse
 //!   model exchange;
 //! * [`SapsPsgd`] — the full algorithm wired into the [`Trainer`]
-//!   interface shared with every baseline;
+//!   interface shared with every baseline, its one round body generic
+//!   over the fabric that carries plans, payloads and acknowledgements;
+//! * [`Exchange`] — that fabric: typed [`Payload`]s between workers,
+//!   the coordinator's [`Notice`], the "ROUND END" [`Ack`]s and the
+//!   between-round control values. [`Direct`] hands them over in memory;
+//!   `saps_cluster::Framed` carries them as `saps-proto` frames. SAPS
+//!   and the seven baselines (`saps-baselines`) are each written once
+//!   against it;
 //! * [`AlgorithmSpec`] + [`AlgorithmRegistry`] — the declarative,
 //!   fallible construction path every binary/example goes through;
 //! * [`Experiment`] — the event-driven driver: dataset + partition
@@ -56,6 +63,7 @@ pub mod checkpoint;
 pub mod complexity;
 mod coordinator;
 mod error;
+mod exchange;
 pub mod experiment;
 mod gossipgen;
 mod registry;
@@ -66,11 +74,12 @@ mod worker;
 
 pub use coordinator::{Coordinator, RoundPlan, SapsControl};
 pub use error::ConfigError;
+pub use exchange::{Ack, Direct, Exchange, Node, Notice, Payload, Shape};
 pub use experiment::{
     CsvSink, Experiment, HistoryPoint, PartitionStrategy, RoundObserver, RunHistory,
 };
 pub use gossipgen::{GossipGenerator, PeerStrategy};
-pub use registry::{AlgorithmRegistry, BuildCtx, BuilderFn, ModelFactory};
+pub use registry::{register_saps, AlgorithmRegistry, BuildCtx, BuilderFn, ModelFactory};
 pub use saps_netsim::{RoundTiming, TimeModel};
 pub use saps_runtime::{Executor, ParallelismPolicy};
 pub use saps_telemetry::{Recorder, Value as TelemetryValue};
@@ -80,4 +89,4 @@ pub use trainer::{RoundCtx, RoundReport, Trainer};
 pub use worker::{Worker, WorkerState};
 
 mod saps;
-pub use saps::{build_replicas, saps_round_report, SapsConfig, SapsPsgd};
+pub use saps::{SapsConfig, SapsPsgd};

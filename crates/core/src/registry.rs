@@ -2,13 +2,14 @@
 //! trainer.
 //!
 //! An [`AlgorithmRegistry`] maps [`AlgorithmSpec`] keys to builder
-//! functions. `saps-core` registers SAPS-PSGD itself;
+//! functions. `saps-core` registers SAPS-PSGD itself ([`register_saps`],
+//! over whichever fabric the registry is for);
 //! `saps-baselines::registry()` returns a registry with all eight
 //! algorithms. Downstream code never calls a trainer constructor
 //! directly — it hands a spec plus a [`BuildCtx`] to the registry and
 //! gets a `Box<dyn Trainer>` or a [`ConfigError`].
 
-use crate::{AlgorithmSpec, ConfigError, SapsConfig, SapsPsgd, Trainer};
+use crate::{AlgorithmSpec, ConfigError, Direct, Exchange, SapsConfig, SapsPsgd, Trainer};
 use rand::rngs::StdRng;
 use saps_data::Dataset;
 use saps_netsim::BandwidthMatrix;
@@ -79,7 +80,7 @@ impl AlgorithmRegistry {
     /// eight algorithms.
     pub fn core() -> Self {
         let mut reg = Self::empty();
-        reg.register("saps", build_saps);
+        register_saps(&mut reg, Direct::new);
         reg
     }
 
@@ -144,28 +145,43 @@ impl std::fmt::Debug for AlgorithmRegistry {
     }
 }
 
-fn build_saps(spec: &AlgorithmSpec, ctx: BuildCtx<'_>) -> Result<Box<dyn Trainer>, ConfigError> {
-    let AlgorithmSpec::Saps {
-        compression,
-        tthres,
-        bthres,
-    } = *spec
-    else {
-        return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()));
-    };
-    let cfg = SapsConfig {
-        workers: ctx.partitions.len(),
-        compression,
-        lr: ctx.lr,
-        batch_size: ctx.batch_size,
-        bthres,
-        tthres,
-        seed: ctx.seed,
-        shard_size: None,
-    };
-    let factory = ctx.factory.clone();
-    let algo = SapsPsgd::with_partitions(cfg, ctx.partitions, ctx.bw, move |rng| factory(rng))?;
-    Ok(Box::new(algo))
+/// Registers SAPS-PSGD under `"saps"`, every trainer built exchanging
+/// over its own fabric from `fabric()` — [`Direct::new`] for the
+/// in-memory registries, a framed wire fabric for `saps-cluster`'s. The
+/// one place a spec becomes a [`SapsConfig`].
+pub fn register_saps<X: Exchange + 'static>(
+    reg: &mut AlgorithmRegistry,
+    fabric: impl Fn() -> X + Send + Sync + 'static,
+) {
+    reg.register("saps", move |spec, ctx| {
+        let AlgorithmSpec::Saps {
+            compression,
+            tthres,
+            bthres,
+        } = *spec
+        else {
+            return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()));
+        };
+        let cfg = SapsConfig {
+            workers: ctx.partitions.len(),
+            compression,
+            lr: ctx.lr,
+            batch_size: ctx.batch_size,
+            bthres,
+            tthres,
+            seed: ctx.seed,
+            shard_size: None,
+        };
+        let factory = ctx.factory.clone();
+        let algo = SapsPsgd::over(
+            cfg,
+            ctx.partitions,
+            ctx.bw,
+            move |rng| factory(rng),
+            fabric(),
+        )?;
+        Ok(Box::new(algo))
+    });
 }
 
 #[cfg(test)]

@@ -1,7 +1,10 @@
 //! SAPS-PSGD wired together: Algorithms 1 + 2 + 3 behind the [`Trainer`]
-//! interface.
+//! interface, generic over the [`Exchange`] fabric that carries the
+//! coordinator's plan, the workers' masked payloads and their
+//! acknowledgements.
 
-use crate::{ConfigError, RoundCtx, RoundReport, SapsControl, Trainer, Worker};
+use crate::exchange::{Ack, Direct, Exchange, Node, Notice, Payload};
+use crate::{ConfigError, RoundCtx, RoundReport, SapsControl, Trainer, Worker, WorkerState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saps_compress::codec;
@@ -10,6 +13,10 @@ use saps_data::{partition, Dataset};
 use saps_netsim::{BandwidthMatrix, RoundTiming};
 use saps_nn::Model;
 use saps_tensor::rng::{derive_seed, streams};
+use std::any::TypeId;
+use std::collections::BTreeSet;
+use std::convert::Infallible;
+use std::sync::Arc;
 
 /// Configuration of a SAPS-PSGD run.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,16 +99,11 @@ impl SapsConfig {
 }
 
 /// Builds the worker fleet plus the shared evaluation replica from the
-/// per-worker data partitions, exactly as both execution paths must:
-/// every model replica (and the evaluation model) is constructed from an
-/// identically seeded RNG so all replicas start equal
-/// (`‖X_0 − X̄_0‖² = 0`), and worker `rank` derives its private
-/// batch-sampling stream from `(seed, rank)`.
-///
-/// Shared by the in-memory [`SapsPsgd`] constructor and the cluster
-/// runtime (`saps-cluster`), so a cluster-driven run starts from the
-/// bit-identical state an in-memory run does.
-pub fn build_replicas(
+/// per-worker data partitions: every model replica (and the evaluation
+/// model) is constructed from an identically seeded RNG so all replicas
+/// start equal (`‖X_0 − X̄_0‖² = 0`), and worker `rank` derives its
+/// private batch-sampling stream from `(seed, rank)`.
+fn build_replicas(
     parts: Vec<Dataset>,
     seed: u64,
     factory: impl Fn(&mut StdRng) -> Model,
@@ -118,17 +120,12 @@ pub fn build_replicas(
     (workers, make_model())
 }
 
-/// Assembles a SAPS-PSGD [`RoundReport`] from one round's raw
-/// measurements: per-worker training statistics (in ascending rank
-/// order), the exchanged pairs (in plan order), the bandwidth view, and
-/// the priced timing.
-///
-/// Shared by the in-memory [`SapsPsgd::step`] and the cluster driver so
-/// both reduce the identical floating-point arithmetic in the identical
-/// order — the per-round loss of a cluster run is bit-equal to the
-/// in-memory run's, not merely close.
-pub fn saps_round_report(
-    stats: &[(f32, f32)],
+/// Assembles a round's [`RoundReport`]: the per-worker `f32` training
+/// statistics the coordinator received (ascending rank) summed in `f64`,
+/// the link mean / min over the plan-ordered pairs, and the priced
+/// timing.
+fn round_report(
+    acks: &[Ack],
     pairs: &[(usize, usize)],
     bw: &BandwidthMatrix,
     timing: &RoundTiming,
@@ -137,7 +134,7 @@ pub fn saps_round_report(
 ) -> RoundReport {
     let mut loss_acc = 0.0f64;
     let mut acc_acc = 0.0f64;
-    for &(l, a) in stats {
+    for &(_, (l, a)) in acks {
         loss_acc += l as f64;
         acc_acc += a as f64;
     }
@@ -147,7 +144,7 @@ pub fn saps_round_report(
         link_bw_sum += bw.get(ri, rj);
         link_bw_min = link_bw_min.min(bw.get(ri, rj));
     }
-    let workers = stats.len().max(1) as f64;
+    let workers = acks.len().max(1) as f64;
     let mut rep = RoundReport::new();
     rep.mean_loss = (loss_acc / workers) as f32;
     rep.mean_acc = (acc_acc / workers) as f32;
@@ -162,24 +159,93 @@ pub fn saps_round_report(
     rep
 }
 
+/// The shared-seed mask `m_t` (Algorithm 2 line 6). Every worker
+/// derives it from the `(s, t)` of the notice *it* heard; the index
+/// buffer is regenerated in place, and only when a notice names another
+/// `(s, t)` than the last one asked for — once per round when everyone
+/// heard the same plan.
+struct RoundMask {
+    mask: RandomMask,
+    derived_from: Option<(u64, u64)>,
+}
+
+impl RoundMask {
+    fn of(&mut self, n_params: usize, compression: f64, heard: &Notice) -> &RandomMask {
+        let key = (heard.mask_seed, heard.round);
+        if self.derived_from != Some(key) {
+            self.mask
+                .regenerate(n_params, compression, heard.mask_seed, heard.round);
+            self.derived_from = Some(key);
+        }
+        &self.mask
+    }
+}
+
+/// The mean of flat models: an `f32` sum in the order they are added
+/// (ascending rank at both call sites), then one scale.
+struct MeanModel {
+    sum: Vec<f32>,
+    count: usize,
+}
+
+impl MeanModel {
+    fn new(n_params: usize) -> Self {
+        MeanModel {
+            sum: vec![0.0; n_params],
+            count: 0,
+        }
+    }
+
+    fn add(&mut self, model: &[f32]) {
+        assert_eq!(model.len(), self.sum.len(), "flat parameter size");
+        for (a, v) in self.sum.iter_mut().zip(model) {
+            *a += v;
+        }
+        self.count += 1;
+    }
+
+    fn finish(mut self) -> Vec<f32> {
+        assert!(self.count > 0, "no active workers");
+        let inv = 1.0 / self.count as f32;
+        for a in &mut self.sum {
+            *a *= inv;
+        }
+        self.sum
+    }
+}
+
 /// The SAPS-PSGD algorithm: a coordinator plus `n` workers, exchanging
 /// shared-seed sparse models over adaptively selected peers.
-pub struct SapsPsgd {
+///
+/// Generic over the [`Exchange`] fabric like every baseline: with
+/// [`Direct`] (the default) plans, payloads and acknowledgements are
+/// handed over in memory; over `saps_cluster::Framed` the same round
+/// body runs through real `saps-proto` frames. There is no second
+/// implementation, so a wire run is bit-identical to an in-memory one
+/// by construction.
+///
+/// **Byzantine tolerance** (only a fabric that can fail needs it): when
+/// a round attempt dies on an error that [`Exchange::blamed`] pins on
+/// one worker, every worker rolls back to the round's start (parameters
+/// and batch RNG), what is in flight is discarded, the offender is
+/// expelled through the normal churn path and the round replays without
+/// it. Peer selection rebuilds as a pure function of the active set, so
+/// honest workers end bit-identical to a run where the offender left
+/// gracefully.
+pub struct SapsPsgd<X: Exchange = Direct> {
     cfg: SapsConfig,
     control: SapsControl,
     workers: Vec<Worker>,
     eval_model: Model,
     n_params: usize,
-    /// The shared per-round mask, regenerated in place each round so its
-    /// index buffer is reused instead of reallocated.
-    mask: RandomMask,
-    /// The two payload buffers of the pairwise exchange, reused across
-    /// pairs and rounds.
-    pay_a: Vec<f32>,
-    pay_b: Vec<f32>,
+    mask: RoundMask,
+    /// Ranks expelled by byzantine recovery; they take no part in any
+    /// later round and cannot rejoin.
+    quarantined: BTreeSet<usize>,
+    x: X,
 }
 
-impl std::fmt::Debug for SapsPsgd {
+impl<X: Exchange> std::fmt::Debug for SapsPsgd<X> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SapsPsgd")
             .field("cfg", &self.cfg)
@@ -189,7 +255,8 @@ impl std::fmt::Debug for SapsPsgd {
 }
 
 impl SapsPsgd {
-    /// Creates the algorithm with an IID partition of `train`.
+    /// Creates the algorithm with an IID partition of `train`;
+    /// exchanges stay in memory.
     ///
     /// `factory` builds one model replica from a seeded RNG; it is called
     /// once per worker with identically seeded RNGs so all replicas start
@@ -208,12 +275,27 @@ impl SapsPsgd {
 
     /// Creates the algorithm with explicit per-worker datasets (use
     /// [`saps_data::partition::dirichlet`] or
-    /// [`saps_data::partition::shards`] for non-IID experiments).
+    /// [`saps_data::partition::shards`] for non-IID experiments);
+    /// exchanges stay in memory.
     pub fn with_partitions(
         cfg: SapsConfig,
         parts: Vec<Dataset>,
         bw: &BandwidthMatrix,
         factory: impl Fn(&mut StdRng) -> Model,
+    ) -> Result<Self, ConfigError> {
+        Self::over(cfg, parts, bw, factory, Direct::new())
+    }
+}
+
+impl<X: Exchange> SapsPsgd<X> {
+    /// Creates the algorithm with explicit per-worker datasets,
+    /// exchanging over `fabric`.
+    pub fn over(
+        cfg: SapsConfig,
+        parts: Vec<Dataset>,
+        bw: &BandwidthMatrix,
+        factory: impl Fn(&mut StdRng) -> Model,
+        fabric: X,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         if parts.len() != cfg.workers {
@@ -246,15 +328,28 @@ impl SapsPsgd {
             workers,
             eval_model,
             n_params,
-            mask: RandomMask::from_indices(n_params, Vec::new()),
-            pay_a: Vec::new(),
-            pay_b: Vec::new(),
+            mask: RoundMask {
+                mask: RandomMask::from_indices(n_params, Vec::new()),
+                derived_from: None,
+            },
+            quarantined: BTreeSet::new(),
+            x: fabric,
         })
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &SapsConfig {
         &self.cfg
+    }
+
+    /// The fabric the exchanges run over.
+    pub fn fabric(&self) -> &X {
+        &self.x
+    }
+
+    /// Mutable access to the fabric (an orderly wire shutdown).
+    pub fn fabric_mut(&mut self) -> &mut X {
+        &mut self.x
     }
 
     /// Direct access to a worker (tests, churn experiments).
@@ -270,21 +365,47 @@ impl SapsPsgd {
         self.workers[rank].set_flat(flat);
     }
 
-    /// Marks a worker active/inactive (join/leave churn). Peer selection
-    /// is rebuilt over the active subset. Inactive workers keep their
+    /// Marks a worker active/inactive (join/leave churn): the request
+    /// crosses the fabric to the coordinator, which rebuilds peer
+    /// selection over the active subset. Inactive workers keep their
     /// model and re-join where they left off.
     ///
-    /// Fails if `rank` is out of range or deactivation would leave fewer
+    /// Fails — before anything is put on the fabric — if `rank` is out
+    /// of range or quarantined, and if deactivation would leave fewer
     /// than two active workers.
     pub fn set_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
+        if rank >= self.workers.len() {
+            return Err(ConfigError::invalid(
+                "SapsPsgd",
+                format!("worker rank {rank} out of range ({})", self.workers.len()),
+            ));
+        }
+        if self.quarantined.contains(&rank) {
+            return Err(ConfigError::invalid(
+                "SapsPsgd",
+                format!(
+                    "worker {rank} is quarantined (expelled for byzantine traffic): \
+                     its membership cannot change"
+                ),
+            ));
+        }
+        let (rank, active) = self
+            .x
+            .membership(rank, active)
+            .map_err(|e| ConfigError::invalid("SapsPsgd", e.to_string()))?;
         self.control.set_active(rank, active)
     }
 
     /// Updates the coordinator's bandwidth snapshot (the paper's
-    /// periodically reported speed measurements).
+    /// periodically reported speed measurements) with the report that
+    /// crossed the fabric, and rebuilds peer selection.
     pub fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
         assert_eq!(bw.len(), self.workers.len());
-        self.control.refresh_bandwidth(bw);
+        let reported = self
+            .x
+            .report_bandwidth(bw)
+            .unwrap_or_else(|e| panic!("bandwidth report failed: {e}"));
+        self.control.refresh_bandwidth(&reported);
     }
 
     /// Ranks of currently active workers.
@@ -292,22 +413,34 @@ impl SapsPsgd {
         self.control.active_ranks()
     }
 
-    /// The consensus (average) model over active workers, as flat params.
+    /// Ranks expelled by byzantine recovery, ascending.
+    pub fn quarantined(&self) -> Vec<u32> {
+        self.quarantined.iter().map(|&r| r as u32).collect()
+    }
+
+    /// The consensus (average) model over active workers, read straight
+    /// from the workers (diagnostics; what the *coordinator* averages
+    /// is [`SapsPsgd::consensus_model`]).
     pub fn average_model(&self) -> Vec<f32> {
-        let ranks = self.active_ranks();
-        assert!(!ranks.is_empty(), "no active workers");
-        let mut acc = vec![0.0f32; self.n_params];
-        for &r in &ranks {
-            let f = self.workers[r].flat();
-            for (a, v) in acc.iter_mut().zip(&f) {
-                *a += v;
-            }
+        let mut mean = MeanModel::new(self.n_params);
+        for r in self.active_ranks() {
+            mean.add(&self.workers[r].flat());
         }
-        let inv = 1.0 / ranks.len() as f32;
-        for a in &mut acc {
-            *a *= inv;
+        mean.finish()
+    }
+
+    /// The consensus (average) model as the coordinator computes it:
+    /// every active worker's model is collected through the fabric
+    /// (model-plane frames on a wire) and averaged in ascending rank
+    /// order.
+    pub fn consensus_model(&mut self) -> Result<Vec<f32>, X::Error> {
+        let stamp = self.control.rounds_done();
+        let mut mean = MeanModel::new(self.n_params);
+        for rank in self.active_ranks() {
+            let flat = self.workers[rank].flat();
+            mean.add(&self.x.collect_model(rank, stamp, flat)?);
         }
-        acc
+        Ok(mean.finish())
     }
 
     /// Squared consensus distance `Σ_i ‖x_i − x̄‖²` over active workers —
@@ -325,79 +458,192 @@ impl SapsPsgd {
         }
         total
     }
+
+    /// Brings (re)joined worker `rank` up to the fleet: the fabric
+    /// fetches an active peer's parameters — a copy of the lowest
+    /// active rank's in memory; on a wire a chunked, checksum-verified,
+    /// retrying download from the fastest reachable peer and every
+    /// peer whose state matches it (so a caught-up joiner serves the
+    /// next one) — and the worker installs them.
+    pub fn catch_up(&mut self, rank: usize) -> Result<(), X::Error> {
+        let peers: Vec<usize> = self
+            .active_ranks()
+            .into_iter()
+            .filter(|&r| r != rank)
+            .collect();
+        // The fabric ranks serving peers from the coordinator's current
+        // snapshot; it is handed over only here, where it is needed.
+        self.x.refresh_bandwidth(self.control.bandwidth_snapshot());
+        let workers = &self.workers;
+        let flat = self
+            .x
+            .resync(self.control.rounds_done(), rank, &peers, &|r| {
+                workers[r].flat()
+            })?;
+        let joiner = &mut self.workers[rank];
+        joiner.set_flat(&flat);
+        joiner.model_mut().zero_grads();
+        Ok(())
+    }
+
+    /// One attempt at a round: Algorithm 1's plan, Algorithm 2 on every
+    /// active worker, the "ROUND END" fold. Charges the accountant only
+    /// once every exchange succeeded, so an aborted attempt bills
+    /// nothing.
+    fn attempt(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
+        let SapsPsgd {
+            cfg,
+            control,
+            workers,
+            mask,
+            x,
+            n_params,
+            ..
+        } = self;
+        let (n_params, c) = (*n_params, cfg.compression);
+        let ranks = control.active_ranks();
+        let plan = control.begin_round();
+        // The matching is over active-subset indices; translate to
+        // global ranks.
+        let pairs = control.global_pairs(&plan.matching);
+        x.begin_round(plan.round, ctx);
+
+        // Algorithm 1 line 6: NotifyWorkerToTrain(W_t, t, s). From here
+        // on every worker acts on the notice *it* heard.
+        let notice = Arc::new(Notice {
+            round: plan.round,
+            mask_seed: plan.mask_seed,
+            pairs: pairs.iter().map(|&(a, b)| (a as u32, b as u32)).collect(),
+        });
+        let heard = x.announce(&ranks, &notice)?;
+
+        // Local SGD on every active worker (Algorithm 2 line 5) — the
+        // compute phase, fanned out across the round executor. Each
+        // worker owns its model/data/RNG, and the results are reduced in
+        // rank order, so any thread count yields identical numbers.
+        let (bs, lr) = (cfg.batch_size, cfg.lr);
+        let step_workers: Vec<&mut Worker> = workers
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(r, w)| control.is_active(r).then_some(w))
+            .collect();
+        let stats = ctx.exec.par_map(step_workers, |_, w| w.sgd_step(bs, lr));
+
+        // `(worker, the mate its notice names, that notice)` in plan
+        // order — the order transfers are priced in.
+        let matched: Vec<(usize, usize, &Notice)> = pairs
+            .iter()
+            .flat_map(|&(a, b)| [a, b])
+            .filter_map(|r| {
+                let heard: &Notice = &heard[ranks.binary_search(&r).ok()?];
+                Some((r, heard.mate_of(r)?, heard))
+            })
+            .collect();
+
+        // Lines 6–8: derive the shared-seed mask and ship x̃ = x ∘ m_t
+        // (values only) to the mate — every payload leaves before any
+        // merge, so all are cut from the post-SGD models.
+        let mut billed = Vec::with_capacity(matched.len());
+        let mut priced = Vec::with_capacity(matched.len());
+        for &(src, dst, heard) in &matched {
+            let mask = mask.of(n_params, c, heard);
+            let mut values = Vec::with_capacity(mask.nnz());
+            workers[src].sparse_payload_into(mask, &mut values);
+            billed.push((src, dst, codec::sparse_shared_mask_bytes(values.len())));
+            let on_link = x.send(src, Node::Worker(dst), Payload::Masked(values))?;
+            priced.push((src, dst, on_link));
+        }
+        // Lines 9–10: average the mate's payload into the local model on
+        // the masked coordinates.
+        for &(at, from, heard) in &matched {
+            let mask = mask.of(n_params, c, heard);
+            let theirs = x.recv_masked(Node::Worker(at), from, mask.nnz())?;
+            workers[at].merge_sparse(mask, &theirs);
+        }
+
+        // "ROUND END": every active worker reports its batch statistics;
+        // the coordinator folds what it received, ascending rank.
+        let acks = x.acknowledge(ranks.iter().copied().zip(stats).collect())?;
+
+        for (src, dst, value_bytes) in billed {
+            ctx.traffic.record_p2p(src, dst, value_bytes);
+        }
+        let timing = ctx.price_p2p(&priced);
+        let mean_part = ranks.iter().map(|&r| workers[r].data_len()).sum::<usize>() as f64
+            / ranks.len().max(1) as f64;
+        Ok(round_report(
+            &acks,
+            &pairs,
+            ctx.bw,
+            &timing,
+            cfg.batch_size,
+            mean_part,
+        ))
+    }
+
+    /// Runs one round, surfacing fabric faults as typed errors —
+    /// including the fabric's fatal form of a byzantine fault whose
+    /// offender the fleet refused to expel (it would drop below the
+    /// control plane's minimum). Each recovery shrinks the active fleet
+    /// by one, so the replay loop terminates.
+    pub fn try_step(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
+        // Only a fabric that can fail needs something to roll back to.
+        let fallible = TypeId::of::<X::Error>() != TypeId::of::<Infallible>();
+        loop {
+            let saved: Vec<(usize, WorkerState)> = if fallible {
+                let active = self.active_ranks().into_iter();
+                active.map(|r| (r, self.workers[r].save_state())).collect()
+            } else {
+                Vec::new()
+            };
+            let stepped = self.attempt(ctx);
+            let offender = stepped.as_ref().err().and_then(|e| self.x.blamed(e));
+            let (err, rank) = match (stepped, offender) {
+                (Err(err), Some(rank)) => (err, rank),
+                (stepped, _) => {
+                    let rep = self.x.end_round(ctx, stepped)?;
+                    ctx.traffic.end_round();
+                    return Ok(rep);
+                }
+            };
+            // Flight-recorder contract: the quarantine event names the
+            // offender, then the dump freezes it together with the
+            // trail of preceding rounds.
+            ctx.telemetry.add("cluster.quarantines", 1);
+            ctx.telemetry.event(
+                "byzantine.quarantine",
+                Some(ctx.round() as u64),
+                vec![("rank", rank.into()), ("detail", err.to_string().into())],
+            );
+            ctx.telemetry.crash_dump("byzantine quarantine");
+            for (r, state) in &saved {
+                self.workers[*r].rollback(state);
+            }
+            self.x.discard_in_flight(self.workers.len())?;
+            // Expelled through the normal churn path, so the rebuilt
+            // peer-selection state is the one a graceful leave produces.
+            if let Err(why) = self.set_active(rank, false) {
+                return Err(self.x.refused(err, &why));
+            }
+            self.quarantined.insert(rank);
+        }
+    }
 }
 
-impl Trainer for SapsPsgd {
+impl<X: Exchange> Trainer for SapsPsgd<X> {
     fn name(&self) -> &'static str {
         "SAPS-PSGD"
     }
 
     fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport {
-        let bw = ctx.bw;
-        let exec = ctx.exec;
-        let traffic = &mut *ctx.traffic;
-        let ranks = self.control.active_ranks();
-        let plan = self.control.begin_round();
-
-        // Local SGD on every active worker (Algorithm 2, line 5) — the
-        // compute phase, fanned out across the round executor. Each
-        // worker owns its model/data/RNG, and the results are reduced in
-        // rank order, so any thread count yields identical numbers.
-        let (bs, lr) = (self.cfg.batch_size, self.cfg.lr);
-        let control = &self.control;
-        let step_workers: Vec<&mut Worker> = self
-            .workers
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(r, w)| control.is_active(r).then_some(w))
-            .collect();
-        let stats = exec.par_map(step_workers, |_, w| w.sgd_step(bs, lr));
-
-        // Shared-seed mask (line 6); identical on every worker,
-        // regenerated in place to reuse the index buffer.
-        self.mask.regenerate(
-            self.n_params,
-            self.cfg.compression,
-            plan.mask_seed,
-            plan.round,
-        );
-        let payload_bytes = codec::sparse_shared_mask_bytes(self.mask.nnz());
-
-        // Exchange over the matched pairs (lines 8-10) on the deltas the
-        // compute phase produced. The matching is over active-subset
-        // indices; translate to global ranks.
-        let pairs = self.control.global_pairs(&plan.matching);
-        let mut transfers = Vec::with_capacity(2 * pairs.len());
-        for &(ri, rj) in &pairs {
-            let SapsPsgd {
-                workers,
-                mask,
-                pay_a,
-                pay_b,
-                ..
-            } = self;
-            workers[ri].sparse_payload_into(mask, pay_a);
-            workers[rj].sparse_payload_into(mask, pay_b);
-            workers[ri].merge_sparse(mask, pay_b);
-            workers[rj].merge_sparse(mask, pay_a);
-            traffic.record_p2p(ri, rj, payload_bytes);
-            traffic.record_p2p(rj, ri, payload_bytes);
-            transfers.push((ri, rj, payload_bytes));
-            transfers.push((rj, ri, payload_bytes));
-        }
-        traffic.end_round();
-
-        let timing = ctx.price_p2p(&transfers);
-        let mean_part = ranks
-            .iter()
-            .map(|&r| self.workers[r].data_len())
-            .sum::<usize>() as f64
-            / ranks.len().max(1) as f64;
-        saps_round_report(&stats, &pairs, bw, &timing, self.cfg.batch_size, mean_part)
+        self.try_step(ctx)
+            .unwrap_or_else(|e| panic!("SAPS-PSGD round failed: {e}"))
     }
 
     fn evaluate(&mut self, val: &Dataset, max_samples: usize) -> f32 {
-        let avg = self.average_model();
+        let avg = self
+            .consensus_model()
+            .unwrap_or_else(|e| panic!("model collection failed: {e}"));
         self.eval_model.set_flat_params(&avg);
         self.eval_model.evaluate(val, max_samples)
     }
@@ -419,7 +665,9 @@ impl Trainer for SapsPsgd {
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {
-        let avg = self.average_model();
+        let avg = self
+            .consensus_model()
+            .map_err(|e| ConfigError::invalid("SapsPsgd", e.to_string()))?;
         Ok(crate::checkpoint::encode(&avg, self.control.rounds_done()).to_vec())
     }
 }

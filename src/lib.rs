@@ -9,7 +9,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`core`] | the SAPS-PSGD algorithm, the [`core::Trainer`] interface, the [`core::AlgorithmSpec`] registry, and the [`core::Experiment`] driver |
+//! | [`core`] | the SAPS-PSGD algorithm ([`core::SapsPsgd`], generic over the [`core::Exchange`] fabric), the [`core::Trainer`] interface, the [`core::AlgorithmSpec`] registry, and the [`core::Experiment`] driver |
 //! | [`baselines`] | PSGD, TopK-PSGD, FedAvg, S-FedAvg, D-PSGD, DCD-PSGD, RandomChoose, and [`baselines::registry`] (all eight algorithms) |
 //! | [`nn`] | the neural-network substrate and the paper's model zoo |
 //! | [`data`] | synthetic MNIST/CIFAR-shaped datasets, IID/non-IID partitioners |
@@ -20,7 +20,7 @@
 //! | [`tensor`] | dense tensors and f64 linear algebra |
 //! | [`runtime`] | the deterministic multi-threaded round engine ([`runtime::Executor`], [`runtime::ParallelismPolicy`]) |
 //! | [`proto`] | the versioned wire protocol (`docs/PROTOCOL.md`): framed round-lifecycle messages with typed decode errors |
-//! | [`cluster`] | the message-driven coordinator/worker runtime ([`cluster::ClusterTrainer`], loopback + TCP transports) |
+//! | [`cluster`] | the wire under all eight trainers: the [`cluster::Framed`] exchange fabric over loopback + TCP transports, [`cluster::ClusterTrainer`]'s constructors, [`cluster::cluster_registry`] |
 //! | [`serve`] | the inference plane ([`serve::ServeCluster`], [`serve::ReplicaNode`]): replicas serving the consensus model with batched forwards and hot checkpoint swaps |
 //! | [`telemetry`] | the unified observability plane (`docs/OBSERVABILITY.md`): the lock-cheap [`telemetry::Recorder`] metric registry, structured events, and the crash flight recorder |
 //!

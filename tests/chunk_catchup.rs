@@ -29,11 +29,12 @@
 
 use saps::baselines::{Direct, Exchange, Fleet, PsgdAllReduce};
 use saps::cluster::{
-    cluster_registry, Addr, ClusterTrainer, FaultPlan, FaultScope, FaultyTransport, Framed,
-    LoopbackTransport, Transport, WireTap,
+    cluster_registry, Addr, FaultPlan, FaultScope, FaultyTransport, Framed, LoopbackTransport,
+    Transport, WireTap,
 };
 use saps::core::{
-    zoo as scenario_zoo, AlgorithmSpec, Experiment, RoundCtx, SapsConfig, ScenarioEvent, Trainer,
+    zoo as scenario_zoo, AlgorithmSpec, Experiment, RoundCtx, SapsConfig, SapsPsgd, ScenarioEvent,
+    Trainer,
 };
 use saps::data::{partition, Dataset, SyntheticSpec};
 use saps::netsim::{BandwidthMatrix, TrafficAccountant};
@@ -147,10 +148,10 @@ fn chunked_resync_is_bit_identical_to_in_memory() {
     }
 }
 
-/// The SAPS cluster runtime's own catch-up path: the coordinator
-/// publishes an epoch manifest, the joiner downloads chunks from ranked
-/// peers, and lands bit-identical to the donor — without touching its
-/// own monotone `rounds_done` counter or the billed traffic rows.
+/// A SAPS-PSGD joiner's catch-up is the same fabric resync: it lands
+/// bit-identical to the donor over the model plane, without touching
+/// the billed traffic rows — and, now matching the donor, serves the
+/// next joiner itself.
 #[test]
 fn saps_joiner_catches_up_from_published_epoch() {
     let workers = 4;
@@ -166,48 +167,78 @@ fn saps_joiner_catches_up_from_published_epoch() {
         shard_size: None,
     };
     let tap = WireTap::new();
-    let mut clu = ClusterTrainer::loopback(cfg, parts(workers), &bw, model, tap.clone()).unwrap();
+    let fabric = Framed::loopback(tap.clone()).with_chunk_size(CHUNK);
+    let mut clu = SapsPsgd::over(cfg.clone(), parts(workers), &bw, model, fabric).unwrap();
+    let mut mem = SapsPsgd::with_partitions(cfg, parts(workers), &bw, model).unwrap();
     let mut traffic = TrafficAccountant::new(workers);
-    for round in 0..3 {
-        let mut ctx = RoundCtx::new(round, &bw, &mut traffic, SEED);
-        Trainer::step(&mut clu, &mut ctx);
+    let mut t_mem = TrafficAccountant::new(workers);
+    let mut round = 0;
+    let mut step_both = |clu: &mut SapsPsgd<_>, mem: &mut SapsPsgd, traffic: &mut _| {
+        let on_wire = clu.step(&mut RoundCtx::new(round, &bw, traffic, SEED));
+        let in_memory = mem.step(&mut RoundCtx::new(round, &bw, &mut t_mem, SEED));
+        assert_eq!(on_wire.mean_loss.to_bits(), in_memory.mean_loss.to_bits());
+        round += 1;
+    };
+    for _ in 0..3 {
+        step_both(&mut clu, &mut mem, &mut traffic);
     }
-    clu.set_worker_active(3, false).unwrap();
-    for round in 3..5 {
-        let mut ctx = RoundCtx::new(round, &bw, &mut traffic, SEED);
-        Trainer::step(&mut clu, &mut ctx);
+    for rank in [2, 3] {
+        clu.set_worker_active(rank, false).unwrap();
+        mem.set_worker_active(rank, false).unwrap();
+    }
+    for _ in 0..2 {
+        step_both(&mut clu, &mut mem, &mut traffic);
     }
 
-    // Publish the fleet's state as a chunked checkpoint epoch, rejoin
-    // the straggler, and let it catch up from its peers.
-    clu.publish_epoch_checkpoint(CHUNK).unwrap();
-    clu.set_worker_active(3, true).unwrap();
+    // Rejoin the stragglers; the first catches up from its peers.
+    for rank in [2, 3] {
+        clu.set_worker_active(rank, true).unwrap();
+        mem.set_worker_active(rank, true).unwrap();
+    }
     let billed_before = (0..workers).map(|r| traffic.worker_sent(r)).sum::<u64>();
     let model_before = tap.snapshot().model_bytes;
-    clu.catch_up_worker(3).unwrap();
-    assert!(!clu.worker(3).catching_up());
+    clu.catch_up(3).unwrap();
+    mem.catch_up(3).unwrap();
 
-    // Bit-identical to the epoch donor (the first active rank).
+    // Bit-identical to the donor (constant links: the lowest active
+    // rank on either fabric), in several verified chunks.
     let donor = clu.active_ranks()[0];
     assert_eq!(
-        clu.worker(3).worker().flat(),
-        clu.worker(donor).worker().flat(),
-        "joiner must land on the published epoch exactly"
+        clu.worker(3).flat(),
+        clu.worker(donor).flat(),
+        "joiner must land on the donor's model exactly"
     );
+    let rep = clu.fabric().resync_log().last().unwrap().clone();
+    assert_eq!((rep.rank, rep.donor), (3, donor as u32));
+    assert!(rep.chunks > 1, "model must split into several chunks");
     // The download crossed the model plane and nothing else; billed
     // worker rows are untouched by instrumentation traffic.
-    assert!(tap.snapshot().model_bytes > model_before);
+    assert_eq!(
+        tap.snapshot().model_bytes - model_before,
+        rep.wire_bytes,
+        "catch-up bytes must reconcile with the tap's model plane"
+    );
     let billed_after = (0..workers).map(|r| traffic.worker_sent(r)).sum::<u64>();
     assert_eq!(billed_before, billed_after, "catch-up polluted billed rows");
-    // The joiner now serves the epoch itself (catch-up capacity grows
-    // with the crowd), and no FinalModel raced anything.
-    assert!(clu.worker(3).can_serve_chunks());
-    assert_eq!(clu.coordinator().late_models(), 0);
 
-    // Training continues over the wire after the catch-up.
-    let mut ctx = RoundCtx::new(5, &bw, &mut traffic, SEED);
-    let rep = Trainer::step(&mut clu, &mut ctx);
-    assert!(rep.mean_loss.is_finite());
+    // The caught-up joiner now matches the manifest, so it serves the
+    // next joiner alongside the donor (catch-up capacity grows with the
+    // crowd); nothing stray was left for the coordinator.
+    clu.catch_up(2).unwrap();
+    mem.catch_up(2).unwrap();
+    let rep = clu.fabric().resync_log().last().unwrap();
+    assert!(
+        rep.sources.contains(&3),
+        "the caught-up joiner served nothing: {:?}",
+        rep.sources
+    );
+    assert_eq!(clu.fabric().late_models(), 0);
+
+    // Training continues after the catch-up, still the in-memory run.
+    step_both(&mut clu, &mut mem, &mut traffic);
+    for r in 0..workers {
+        assert_eq!(clu.worker(r).flat(), mem.worker(r).flat(), "worker {r}");
+    }
 }
 
 /// A wire that drops and corrupts chunk frames: every lost piece is

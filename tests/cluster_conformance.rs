@@ -1,31 +1,39 @@
-//! Cluster ↔ in-memory conformance: the headline invariant of the
-//! message-driven runtime. (Tests 1–3 police the SAPS twin,
-//! `core::SapsPsgd` vs `ClusterTrainer`; the seven baselines have one
-//! implementation each, and the matrix at the bottom checks the framed
-//! fabric against the in-memory one.)
+//! Fabric equivalence: all eight algorithms, `Framed` vs `Direct`.
 //!
-//! 1. **Bit-identity** — a cluster-driven SAPS run (every round through
-//!    real serialized `saps-proto` frames over the loopback transport)
-//!    produces bit-identical training state (every worker's parameters),
-//!    per-round loss, and worker-row traffic to the in-memory
-//!    [`SapsPsgd`] run of the same spec — including across churn and
-//!    bandwidth-refresh events.
-//! 2. **Wire ↔ accountant reconciliation** — per round, the bytes framed
-//!    on the wire equal the `TrafficAccountant`'s Table I accounting
-//!    exactly: each masked payload's values section (`4·nnz`) on the
-//!    worker rows, all control-plane bytes (control frames + envelopes)
-//!    on the server row.
-//! 3. **Checkpoint reuse** — the coordinator-collected `FinalModel`
-//!    (a nested `core::checkpoint` blob) decodes equal to the in-memory
-//!    worker's flat parameters.
+//! Every algorithm — SAPS-PSGD and the seven baselines — is one trainer
+//! generic over the exchange fabric, so "the wire run equals the
+//! in-memory run" is true by construction of the trainers. What is left
+//! to check is the codec boundary, and these tests check it for all
+//! eight:
+//!
+//! 1. **The matrix** — over `Framed` (every value through real
+//!    serialized `saps-proto` frames on the loopback transport) each
+//!    algorithm produces bit-identical per-round loss/accuracy, link
+//!    statistics, worker-row traffic, consensus evaluation and
+//!    checkpoint bytes to the same trainer over `Direct`, across a
+//!    leave, a bandwidth refresh and a rejoin.
+//! 2. **Sharded planning** — the same for SAPS-PSGD with `shard_size`
+//!    set, 64 workers and heterogeneous links, down to every worker's
+//!    parameters.
+//! 3. **Wire ↔ accountant reconciliation** — per round, the bytes
+//!    `Framed` put on the wire equal the `TrafficAccountant`'s Table I
+//!    accounting exactly: each masked payload's values section
+//!    (`4·nnz`) on the worker rows, all control-plane bytes (control
+//!    frames + envelopes) on the server row.
+//! 4. **Checkpoint reuse** — a model collected through
+//!    `FetchModel`/`FinalModel` (a nested `core::checkpoint` blob)
+//!    arrives equal to the worker's flat parameters, on the model
+//!    plane, never billed.
 //!
 //! This test runs inside the CI determinism matrix (`SAPS_THREADS ∈
 //! {1, 2}`), so the invariants hold at every round-engine width.
 
-use saps::cluster::{cluster_registry, ClusterTrainer, WireTap};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use saps::cluster::{cluster_registry, ClusterTrainer, Framed, LoopbackTransport, WireTap};
 use saps::core::{
-    AlgorithmRegistry, AlgorithmSpec, BuildCtx, Experiment, RoundCtx, SapsConfig, SapsPsgd,
-    ScenarioEvent, Trainer,
+    checkpoint, AlgorithmRegistry, AlgorithmSpec, BuildCtx, Experiment, RoundCtx, SapsConfig,
+    SapsPsgd, ScenarioEvent, Trainer,
 };
 use saps::data::{partition, Dataset, SyntheticSpec};
 use saps::netsim::{BandwidthMatrix, TrafficAccountant};
@@ -59,13 +67,7 @@ fn cfg(workers: usize) -> SapsConfig {
     }
 }
 
-fn pair(
-    workers: usize,
-) -> (
-    SapsPsgd,
-    ClusterTrainer<saps::cluster::LoopbackTransport>,
-    WireTap,
-) {
+fn pair(workers: usize) -> (SapsPsgd, SapsPsgd<Framed<LoopbackTransport>>, WireTap) {
     let (train, _) = dataset();
     let bw = BandwidthMatrix::constant(workers, 1.0);
     let mem = SapsPsgd::with_partitions(cfg(workers), parts(&train, workers), &bw, |rng| {
@@ -85,88 +87,6 @@ fn pair(
 }
 
 #[test]
-fn cluster_rounds_are_bit_identical_to_in_memory() {
-    let workers = 6;
-    let (mut mem, mut clu, _tap) = pair(workers);
-    let bw = BandwidthMatrix::constant(workers, 1.0);
-    let mut t_mem = TrafficAccountant::new(workers);
-    let mut t_clu = TrafficAccountant::new(workers);
-
-    for round in 0..12 {
-        // Mid-run churn, applied identically to both paths (the cluster
-        // side goes through real Join/Leave frames).
-        if round == 4 {
-            mem.set_active(5, false).unwrap();
-            clu.set_worker_active(5, false).unwrap();
-        }
-        if round == 8 {
-            mem.set_active(5, true).unwrap();
-            clu.set_worker_active(5, true).unwrap();
-        }
-        let rep_mem = {
-            let mut ctx = RoundCtx::new(round, &bw, &mut t_mem, SEED);
-            mem.step(&mut ctx)
-        };
-        let rep_clu = {
-            let mut ctx = RoundCtx::new(round, &bw, &mut t_clu, SEED);
-            Trainer::step(&mut clu, &mut ctx)
-        };
-        // Per-round loss/acc: bit-equal, not merely close.
-        assert_eq!(
-            rep_mem.mean_loss.to_bits(),
-            rep_clu.mean_loss.to_bits(),
-            "round {round} loss"
-        );
-        assert_eq!(
-            rep_mem.mean_acc.to_bits(),
-            rep_clu.mean_acc.to_bits(),
-            "round {round} acc"
-        );
-        assert_eq!(rep_mem.epochs_advanced, rep_clu.epochs_advanced);
-        assert_eq!(rep_mem.mean_link_bandwidth, rep_clu.mean_link_bandwidth);
-    }
-
-    // Training state: every worker's parameters, bit for bit.
-    for r in 0..workers {
-        assert_eq!(
-            mem.worker(r).flat(),
-            clu.worker(r).worker().flat(),
-            "worker {r} diverged"
-        );
-    }
-    // Consensus model via the wire equals the in-memory average exactly.
-    assert_eq!(mem.average_model(), clu.consensus_model().unwrap());
-
-    // Checkpoint round stamps survive churn: the coordinator's plan
-    // counter restarted twice (leave + rejoin rebuilds), but each
-    // worker's completed-round count keeps increasing monotonically.
-    assert_eq!(clu.fetch_model(0).unwrap().1, 12, "worker 0 ran all rounds");
-    assert_eq!(
-        clu.fetch_model(5).unwrap().1,
-        8,
-        "worker 5 sat out rounds 4..8"
-    );
-
-    // Worker-row traffic: identical (4·nnz per payload, both paths).
-    for r in 0..workers {
-        assert_eq!(
-            t_mem.worker_sent(r),
-            t_clu.worker_sent(r),
-            "worker {r} sent"
-        );
-        assert_eq!(
-            t_mem.worker_recv(r),
-            t_clu.worker_recv(r),
-            "worker {r} recv"
-        );
-    }
-    // Server row: the in-memory path models control traffic as free; the
-    // cluster bills every control byte actually framed.
-    assert_eq!(t_mem.server_total(), 0);
-    assert!(t_clu.server_total() > 0, "control plane must be billed");
-}
-
-#[test]
 fn wire_bytes_reconcile_with_the_accountant_exactly() {
     let workers = 5; // odd fleet: one unmatched worker per round
     let (_, mut clu, tap) = pair(workers);
@@ -179,7 +99,7 @@ fn wire_bytes_reconcile_with_the_accountant_exactly() {
         let before = tap.snapshot();
         {
             let mut ctx = RoundCtx::new(round, &bw, &mut traffic, SEED);
-            Trainer::step(&mut clu, &mut ctx);
+            clu.step(&mut ctx);
         }
         let after = tap.snapshot();
         let snap = *traffic.rounds().last().unwrap();
@@ -223,21 +143,35 @@ fn final_model_checkpoint_decodes_to_the_in_memory_params() {
         let mut ctx = RoundCtx::new(round, &bw, &mut t_mem, SEED);
         mem.step(&mut ctx);
         let mut ctx = RoundCtx::new(round, &bw, &mut t_clu, SEED);
-        Trainer::step(&mut clu, &mut ctx);
+        clu.step(&mut ctx);
     }
+    // Every worker's model crosses the wire as a `FinalModel` frame
+    // nesting a checkpoint blob; what the coordinator averages is what
+    // the in-memory run reads straight from its workers.
     let model_plane_before = tap.snapshot().model_bytes;
+    let consensus = clu.consensus_model().unwrap();
+    assert_eq!(consensus, mem.average_model());
     for r in 0..workers {
-        let (params, rounds_done) = clu.fetch_model(r).unwrap();
-        assert_eq!(params, mem.worker(r).flat(), "worker {r} final model");
-        assert_eq!(rounds_done, 5);
+        assert_eq!(clu.worker(r).flat(), mem.worker(r).flat(), "worker {r}");
     }
+    let framed = tap.snapshot().model_bytes - model_plane_before;
+    let blob = checkpoint::encode(&consensus, 0).len() as u64;
+    assert!(
+        framed >= workers as u64 * blob,
+        "{framed} model-plane bytes for {workers} checkpoints of {blob} B"
+    );
+    // The exported consensus is that average under the round stamp.
+    let exported = clu.export_checkpoint().unwrap();
+    assert_eq!(exported, mem.export_checkpoint().unwrap());
+    let (params, stamp) = checkpoint::decode(exported.into()).unwrap();
+    assert_eq!((params, stamp), (consensus, 5));
     // Model collection is metered on its own plane, never billed to the
     // training accountant.
-    assert!(tap.snapshot().model_bytes > model_plane_before);
     assert_eq!(
         t_clu.server_total(),
         t_clu.rounds().iter().map(|r| r.server_bytes).sum()
     );
+    assert_eq!(t_clu.server_total(), tap.snapshot().control_bytes);
 }
 
 #[test]
@@ -349,6 +283,63 @@ fn experiment_driver_runs_cluster_and_memory_to_the_same_history() {
     assert!(wire.data_bytes > 0 && wire.control_bytes > 0 && wire.model_bytes > 0);
 }
 
+#[test]
+fn sharded_planning_is_bit_identical_on_the_wire() {
+    // Sharded SAPS-PSGD (Algorithm 1's matching planned per
+    // bandwidth-partition shard) over `Framed` against `Direct`: 64
+    // workers, heterogeneous links so thresholding yields real
+    // partitions, one leave + rejoin so the sharded planner is rebuilt
+    // twice mid-run.
+    let workers = 64;
+    let (train, _) = dataset();
+    let bw = BandwidthMatrix::uniform_random(workers, 100.0, &mut StdRng::seed_from_u64(17));
+    let sharded = SapsConfig {
+        shard_size: Some(8),
+        ..cfg(workers)
+    };
+    let model = |rng: &mut StdRng| zoo::mlp(&[16, 20, 4], rng);
+    let mut mem =
+        SapsPsgd::with_partitions(sharded.clone(), parts(&train, workers), &bw, model).unwrap();
+    let tap = WireTap::new();
+    let mut clu =
+        ClusterTrainer::loopback(sharded, parts(&train, workers), &bw, model, tap.clone()).unwrap();
+    let mut t_mem = TrafficAccountant::new(workers);
+    let mut t_clu = TrafficAccountant::new(workers);
+    for round in 0..9 {
+        if round == 3 || round == 6 {
+            mem.set_worker_active(40, round == 6).unwrap();
+            clu.set_worker_active(40, round == 6).unwrap();
+        }
+        let rep_mem = mem.step(&mut RoundCtx::new(round, &bw, &mut t_mem, SEED));
+        let rep_clu = clu.step(&mut RoundCtx::new(round, &bw, &mut t_clu, SEED));
+        assert_eq!(
+            rep_mem.mean_loss.to_bits(),
+            rep_clu.mean_loss.to_bits(),
+            "round {round} loss"
+        );
+        assert_eq!(rep_mem.min_link_bandwidth, rep_clu.min_link_bandwidth);
+    }
+    let paired = (0..workers).filter(|&r| t_mem.worker_sent(r) > 0).count();
+    assert!(
+        paired >= workers / 2,
+        "only {paired} workers ever exchanged"
+    );
+    for r in 0..workers {
+        assert_eq!(mem.worker(r).flat(), clu.worker(r).flat(), "worker {r}");
+        assert_eq!(
+            t_mem.worker_sent(r),
+            t_clu.worker_sent(r),
+            "worker {r} sent"
+        );
+        assert_eq!(
+            t_mem.worker_recv(r),
+            t_clu.worker_recv(r),
+            "worker {r} recv"
+        );
+    }
+    assert_eq!(tap.snapshot().data_bytes, t_clu.grand_total_sent());
+}
+
 /// One spec per registered algorithm — the full conformance matrix.
 fn spec_matrix() -> Vec<AlgorithmSpec> {
     vec![
@@ -390,15 +381,15 @@ fn all_eight_algorithms_are_bit_identical_on_the_wire() {
     // The matrix: every registered algorithm over the wire against the
     // same spec in memory — bit-identical per-round loss/accuracy, link
     // stats, per-worker traffic rows, consensus evaluation, and
-    // checkpoint bytes, across a leave + rejoin. For the seven baselines
-    // both sides are the *same trainer*; what this checks is the
-    // `Framed` fabric against `Direct`: that f32/f64 values survive the
-    // frame round-trip, that selective receive preserves each fold
-    // order, that the chunked resync installs what a plain copy does,
-    // and that worker rows are billed alike while the wire adds only
-    // its control plane. For SAPS it still polices the remaining twin
-    // (`core::SapsPsgd` vs `ClusterTrainer`). Runs inside the CI
-    // determinism matrix (`SAPS_THREADS ∈ {1, 2}`).
+    // checkpoint bytes, across a leave, a bandwidth refresh and a
+    // rejoin. Both sides are the *same trainer*; what this checks is the
+    // `Framed` fabric against `Direct`: that f32/f64 values, plans and
+    // acknowledgements survive the frame round-trip, that selective
+    // receive preserves each fold order, that churn and bandwidth
+    // reports reach the coordinator as sent, that the chunked resync
+    // installs what a plain copy does, and that worker rows are billed
+    // alike while the wire adds only its control plane. Runs inside the
+    // CI determinism matrix (`SAPS_THREADS ∈ {1, 2}`).
     let workers = 6;
     let (train, val) = dataset();
     let bw = BandwidthMatrix::constant(workers, 1.0);
@@ -419,12 +410,20 @@ fn all_eight_algorithms_are_bit_identical_on_the_wire() {
 
         let mut t_mem = TrafficAccountant::new(workers);
         let mut t_clu = TrafficAccountant::new(workers);
+        let mut bw = bw.clone();
         for round in 0..10 {
             // Mid-run churn, identical on both paths: rank 5 leaves
-            // before round 4 and rejoins before round 8.
+            // before round 4 and rejoins before round 8; in between the
+            // measured bandwidths change (SAPS-PSGD replans from the
+            // report, the others re-rank their catch-up sources).
             if round == 4 {
                 mem.set_worker_active(5, false).unwrap();
                 clu.set_worker_active(5, false).unwrap();
+            }
+            if round == 6 {
+                bw = BandwidthMatrix::uniform_random(workers, 2.0, &mut StdRng::seed_from_u64(3));
+                mem.refresh_bandwidth(&bw);
+                clu.refresh_bandwidth(&bw);
             }
             if round == 8 {
                 mem.set_worker_active(5, true).unwrap();

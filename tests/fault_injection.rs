@@ -5,12 +5,12 @@
 //! wrapping the loopback transport, these tests pin three contracts:
 //!
 //! 1. **Tolerated faults are invisible** — delays and reorders change
-//!    only delivery schedules; every round's loss and every worker's
-//!    parameters stay bit-identical to a clean run — for SAPS and for
-//!    each of the seven baselines over the `Framed` fabric.
+//!    only delivery schedules; every round's loss and the final
+//!    consensus stay bit-identical to a clean run — for all eight
+//!    algorithms over the `Framed` fabric.
 //! 2. **Lost frames surface as typed errors** — a transport that
-//!    silently drops frames produces a stall error from `try_step`
-//!    (SAPS and all seven baselines), never a hang or a wrong answer.
+//!    silently drops frames produces `ClusterError::Stalled` from
+//!    `try_step` (all eight algorithms), never a hang or a wrong answer.
 //! 3. **Byzantine workers are quarantined and replayed away** — a
 //!    worker whose payloads are corrupt (or malformed) is expelled
 //!    mid-round and the round replays without it, leaving *every*
@@ -18,6 +18,8 @@
 //!    to a run where the offender left gracefully at the same round.
 //!    This is the acceptance criterion of the byzantine scenario; it
 //!    runs inside the CI determinism matrix (`SAPS_THREADS ∈ {1, 2}`).
+//!    An expelled rank stays expelled: a membership request for it is
+//!    refused before anything is framed.
 
 use saps::baselines::{
     register_baselines, DPsgd, DcdPsgd, FedAvg, FedAvgConfig, Fleet, PsgdAllReduce, RandomChoose,
@@ -25,17 +27,19 @@ use saps::baselines::{
 };
 use saps::cluster::{
     cluster_registry, Addr, ClusterError, ClusterTrainer, FaultPlan, FaultScope, FaultyTransport,
-    Framed, LoopbackTransport, Outbox, WireTap, WorkerNode,
+    Framed, LoopbackTransport, Transport, WireTap,
 };
 use saps::core::{
-    AlgorithmRegistry, AlgorithmSpec, BuildCtx, RoundCtx, RoundReport, SapsConfig, Trainer, Worker,
+    register_saps, AlgorithmRegistry, AlgorithmSpec, BuildCtx, Exchange, Experiment, Node, Payload,
+    RoundCtx, RoundReport, SapsConfig, SapsPsgd, ScenarioEvent, Trainer,
 };
 use saps::data::{partition, Dataset, SyntheticSpec};
 use saps::netsim::{BandwidthMatrix, TrafficAccountant};
 use saps::nn::zoo;
-use saps::proto::Message;
+use saps::proto::{frame, Message};
 use saps::tensor::rng::{derive_seed, streams};
 use std::sync::Arc;
+use std::time::Instant;
 
 const SEED: u64 = 23;
 
@@ -64,7 +68,7 @@ fn model(rng: &mut rand::rngs::StdRng) -> saps::nn::Model {
     zoo::mlp(&[16, 20, 4], rng)
 }
 
-fn clean_trainer(workers: usize) -> ClusterTrainer<LoopbackTransport> {
+fn clean_trainer(workers: usize) -> SapsPsgd<Framed<LoopbackTransport>> {
     ClusterTrainer::loopback(
         cfg(workers),
         parts(workers),
@@ -75,20 +79,22 @@ fn clean_trainer(workers: usize) -> ClusterTrainer<LoopbackTransport> {
     .unwrap()
 }
 
-fn faulty_trainer(
-    workers: usize,
-    plan: FaultPlan,
-    seed: u64,
-) -> ClusterTrainer<FaultyTransport<LoopbackTransport>> {
+type FaultyFabric = Framed<FaultyTransport<LoopbackTransport>>;
+
+fn faulty_fabric(plan: FaultPlan, seed: u64) -> FaultyFabric {
     let tap = WireTap::new();
     let transport = FaultyTransport::new(LoopbackTransport::new(tap.clone()), plan, seed);
-    ClusterTrainer::with_transport(
+    Framed::new(transport, tap)
+}
+
+/// SAPS-PSGD over `fabric`.
+fn saps_over<T: Transport>(workers: usize, fabric: Framed<T>) -> SapsPsgd<Framed<T>> {
+    SapsPsgd::over(
         cfg(workers),
         parts(workers),
         &BandwidthMatrix::constant(workers, 1.0),
         model,
-        transport,
-        tap,
+        fabric,
     )
     .unwrap()
 }
@@ -103,60 +109,14 @@ fn step(
     trainer.step(&mut ctx).mean_loss
 }
 
-#[test]
-fn delays_and_reorders_leave_training_bit_identical() {
-    let workers = 6;
-    let mut clean = clean_trainer(workers);
-    // Heavy but survivable weather: almost half of all frames arrive
-    // late or behind a successor.
-    let plan = FaultPlan::none().with_delay(0.25).with_reorder(0.2);
-    let mut faulty = faulty_trainer(workers, plan, 77);
-    let (mut tc, mut tf) = (
-        TrafficAccountant::new(workers),
-        TrafficAccountant::new(workers),
-    );
-    for round in 0..8 {
-        let lc = step(&mut clean, round, &mut tc);
-        let lf = step(&mut faulty, round, &mut tf);
-        assert_eq!(lc.to_bits(), lf.to_bits(), "round {round} loss drifted");
-    }
-    for r in 0..workers {
-        assert_eq!(
-            clean.worker(r).worker().flat(),
-            faulty.worker(r).worker().flat(),
-            "worker {r} diverged under delay/reorder faults"
-        );
-    }
-    assert!(faulty.quarantined().is_empty(), "no one was at fault");
-}
-
-#[test]
-fn dropped_frames_surface_as_a_typed_stall_not_a_hang() {
-    let workers = 4;
-    let plan = FaultPlan::none().with_drop(1.0);
-    let mut clu = faulty_trainer(workers, plan, 3).with_stall_limit(50);
-    let bw = BandwidthMatrix::constant(workers, 1.0);
-    let mut traffic = TrafficAccountant::new(workers);
-    let mut ctx = RoundCtx::new(0, &bw, &mut traffic, SEED);
-    match clu.try_step(&mut ctx) {
-        Err(ClusterError::Protocol(msg)) => {
-            assert!(msg.contains("quiescent"), "unexpected stall message: {msg}")
-        }
-        other => panic!("expected a stall error, got {other:?}"),
-    }
-}
-
-type FaultyFabric = Framed<FaultyTransport<LoopbackTransport>>;
-
-fn faulty_fabric(plan: FaultPlan, seed: u64) -> FaultyFabric {
-    let tap = WireTap::new();
-    let transport = FaultyTransport::new(LoopbackTransport::new(tap.clone()), plan, seed);
-    Framed::new(transport, tap)
-}
-
-/// One spec per baseline, by registry key.
-fn baseline_specs() -> Vec<AlgorithmSpec> {
+/// One spec per algorithm, by registry key.
+fn all_specs() -> Vec<AlgorithmSpec> {
     vec![
+        AlgorithmSpec::Saps {
+            compression: 4.0,
+            tthres: 5,
+            bthres: None,
+        },
         AlgorithmSpec::Psgd,
         AlgorithmSpec::TopK { compression: 4.0 },
         AlgorithmSpec::FedAvg {
@@ -174,11 +134,12 @@ fn baseline_specs() -> Vec<AlgorithmSpec> {
     ]
 }
 
-/// The table, part one: for every baseline, a run through heavy delay +
-/// reorder weather is bit-identical — every round's loss, the final
+/// The table, part one: for every algorithm, a run through heavy delay
+/// and reorder weather (almost half of all frames arrive late or behind
+/// a successor) is bit-identical — every round's loss, the final
 /// consensus checkpoint — to a run over a clean wire.
 #[test]
-fn baselines_are_bit_identical_under_delays_and_reorders() {
+fn delays_and_reorders_leave_training_bit_identical() {
     let workers = 6;
     let bw = BandwidthMatrix::constant(workers, 1.0);
     let ctx = || BuildCtx {
@@ -192,8 +153,9 @@ fn baselines_are_bit_identical_under_delays_and_reorders() {
     let clean_reg = cluster_registry(WireTap::new());
     let mut faulty_reg = AlgorithmRegistry::empty();
     let plan = FaultPlan::none().with_delay(0.25).with_reorder(0.2);
+    register_saps(&mut faulty_reg, move || faulty_fabric(plan, 77));
     register_baselines(&mut faulty_reg, move || faulty_fabric(plan, 77));
-    for spec in baseline_specs() {
+    for spec in all_specs() {
         let key = spec.key();
         let mut clean = clean_reg.build(&spec, ctx()).unwrap();
         let mut faulty = faulty_reg.build(&spec, ctx()).unwrap();
@@ -219,18 +181,19 @@ fn baselines_are_bit_identical_under_delays_and_reorders() {
     }
 }
 
-/// The table, part two: for every baseline, a wire that eats every
-/// frame surfaces from `try_step` as the typed stall.
+/// The table, part two: for every algorithm, a wire that eats every
+/// frame surfaces from `try_step` as the typed stall, not a hang.
 #[test]
-fn baselines_surface_dropped_frames_as_a_typed_stall() {
+fn dropped_frames_surface_as_a_typed_stall_not_a_hang() {
     let workers = 4;
     let bw = BandwidthMatrix::constant(workers, 1.0);
-    for spec in baseline_specs() {
+    for spec in all_specs() {
         let fleet = Fleet::with_partitions(parts(workers), model, SEED, 16, 0.1).unwrap();
         let x = faulty_fabric(FaultPlan::none().with_drop(1.0), 3).with_stall_limit(50);
         let mut traffic = TrafficAccountant::new(workers);
         let ctx = &mut RoundCtx::new(0, &bw, &mut traffic, SEED);
         let stepped: Result<RoundReport, ClusterError> = match spec {
+            AlgorithmSpec::Saps { .. } => saps_over(workers, x).try_step(ctx),
             AlgorithmSpec::Psgd => PsgdAllReduce::over(fleet, x).unwrap().try_step(ctx),
             AlgorithmSpec::TopK { compression } => {
                 TopKPsgd::over(fleet, compression, x).unwrap().try_step(ctx)
@@ -261,14 +224,9 @@ fn baselines_surface_dropped_frames_as_a_typed_stall() {
                     .unwrap()
                     .try_step(ctx)
             }
-            other => unreachable!("{other:?} is not a baseline"),
         };
         match stepped {
-            Err(ClusterError::Protocol(msg)) => assert!(
-                msg.contains("quiescent"),
-                "{}: unexpected stall message: {msg}",
-                spec.key()
-            ),
+            Err(ClusterError::Stalled { round: 0, .. }) => {}
             other => panic!("{}: expected a stall error, got {other:?}", spec.key()),
         }
     }
@@ -336,8 +294,8 @@ fn byzantine_worker_is_quarantined_and_honest_workers_match_a_graceful_leave() {
     // frozen model of a worker that left).
     for r in 0..WORKERS {
         assert_eq!(
-            baseline.worker(r).worker().flat(),
-            attacked.0.worker(r).worker().flat(),
+            baseline.worker(r).flat(),
+            attacked.0.worker(r).flat(),
             "worker {r} params diverged from the graceful-leave baseline"
         );
     }
@@ -357,7 +315,7 @@ fn quarantine_below_the_minimum_fleet_is_a_fatal_byzantine_error() {
     let plan = FaultPlan::none()
         .with_corrupt(1.0)
         .scoped(FaultScope::PayloadsFrom(Addr::Worker(1)));
-    let mut clu = faulty_trainer(workers, plan, 11);
+    let mut clu = saps_over(workers, faulty_fabric(plan, 11));
     let bw = BandwidthMatrix::constant(workers, 1.0);
     let mut traffic = TrafficAccountant::new(workers);
     let mut ctx = RoundCtx::new(0, &bw, &mut traffic, SEED);
@@ -374,32 +332,13 @@ fn quarantine_below_the_minimum_fleet_is_a_fatal_byzantine_error() {
 fn malformed_payload_is_attributed_to_its_sender() {
     // Decode-level corruption is caught by the frame checksum; a frame
     // that decodes fine but violates the round's shared-mask contract
-    // (wrong payload length) must be pinned on the sender too.
-    let data = parts(2).remove(0);
-    let mut rng = rand::SeedableRng::seed_from_u64(1);
-    let worker = Worker::new(0, model(&mut rng), data, SEED);
-    let mut node = WorkerNode::new(worker, 16, 0.1, 4.0);
-    let mut out = Outbox::new();
-    node.handle(
-        Addr::Coordinator,
-        Message::NotifyTrain {
-            round: 0,
-            mask_seed: 9,
-            matching: vec![(0, 1)],
-        },
-        &mut out,
-    )
-    .unwrap();
-    let err = node
-        .handle(
-            Addr::Worker(1),
-            Message::MaskedPayload {
-                round: 0,
-                values: Vec::new(),
-            },
-            &mut out,
-        )
-        .unwrap_err();
+    // (wrong payload length) must be pinned on the sender too — that is
+    // what the trainer's quarantine reads back through `blamed`.
+    let mut x = Framed::loopback(WireTap::new());
+    x.send(1, Node::Worker(0), Payload::Masked(Vec::new()))
+        .unwrap();
+    let err = x.recv_masked(Node::Worker(0), 1, 3).unwrap_err();
+    assert_eq!(x.blamed(&err), Some(1));
     match err {
         ClusterError::Byzantine { rank, detail } => {
             assert_eq!(rank, 1);
@@ -407,4 +346,106 @@ fn malformed_payload_is_attributed_to_its_sender() {
         }
         other => panic!("expected byzantine attribution, got {other:?}"),
     }
+    // So is a frame from a worker that does not decode at all; a stall
+    // blames nobody.
+    let mut x = faulty_fabric(FaultPlan::none().with_corrupt(1.0), 5).with_stall_limit(5);
+    x.send(2, Node::Worker(0), Payload::Masked(vec![1.0]))
+        .unwrap();
+    let err = x.recv_masked(Node::Worker(0), 2, 1).unwrap_err();
+    assert_eq!(x.blamed(&err), Some(2), "{err}");
+    let err = x.recv_masked(Node::Worker(0), 2, 1).unwrap_err();
+    assert!(matches!(err, ClusterError::Stalled { .. }), "{err}");
+    assert_eq!(x.blamed(&err), None);
+}
+
+/// Regression: churn on a quarantined rank used to frame its `Join` /
+/// `Leave` *from* the silenced worker, wait out the whole stall limit
+/// (5 s) and report a protocol stall. It is refused up front, with the
+/// reason, and nothing reaches the wire.
+#[test]
+fn churn_on_a_quarantined_rank_is_refused_before_anything_is_framed() {
+    const WORKERS: usize = 4;
+    const EVIL_RANK: usize = 3;
+    let attack = FaultPlan::none()
+        .with_corrupt(1.0)
+        .scoped(FaultScope::PayloadsFrom(Addr::Worker(EVIL_RANK as u32)));
+
+    let tap = WireTap::new();
+    let transport = FaultyTransport::new(LoopbackTransport::new(tap.clone()), attack, 7);
+    let handle = transport.plan_handle();
+    let mut clu = saps_over(WORKERS, Framed::new(transport, tap.clone()));
+    step(&mut clu, 0, &mut TrafficAccountant::new(WORKERS));
+    assert_eq!(clu.quarantined(), vec![EVIL_RANK as u32]);
+    handle.set(FaultPlan::none());
+
+    let frames = tap.snapshot().frames;
+    for active in [true, false] {
+        let asked = Instant::now();
+        let err = clu.set_worker_active(EVIL_RANK, active).unwrap_err();
+        assert!(
+            asked.elapsed().as_millis() < 100,
+            "refusal took {:?}",
+            asked.elapsed()
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("worker 3 is quarantined"), "{msg}");
+    }
+    assert_eq!(
+        tap.snapshot().frames,
+        frames,
+        "a refused request was framed"
+    );
+    assert_eq!(clu.active_ranks(), vec![0, 1, 2]);
+
+    // Scheduled through the experiment driver, the same request ends
+    // the run as an error naming the quarantine — not a panic.
+    let mut reg = AlgorithmRegistry::empty();
+    register_saps(&mut reg, move || faulty_fabric(attack, 7));
+    let (train, val) = SyntheticSpec::tiny()
+        .samples(800)
+        .generate(5)
+        .split(0.25, 0);
+    let err = Experiment::new(AlgorithmSpec::parse("saps").unwrap().with_compression(4.0))
+        .train(train)
+        .validation(val)
+        .workers(WORKERS)
+        .batch_size(16)
+        .seed(SEED)
+        .model(model)
+        .rounds(4)
+        .eval_every(4)
+        .eval_samples(50)
+        .event(2, ScenarioEvent::WorkerJoin { rank: EVIL_RANK })
+        .run(&reg)
+        .expect_err("the expelled rank cannot rejoin");
+    assert!(err.to_string().contains("quarantined"), "{err}");
+}
+
+/// An unsolicited `FinalModel` — a duplicate, or a reply racing its
+/// sender's `Leave` — is dropped with a counter, never an error that
+/// kills the run.
+#[test]
+fn unsolicited_final_model_does_not_kill_a_round() {
+    let workers = 4;
+    let tap = WireTap::new();
+    let mut transport = LoopbackTransport::new(tap.clone());
+    let stray = Message::FinalModel {
+        rank: 2,
+        checkpoint: vec![1, 2, 3],
+    };
+    transport
+        .send(Addr::Worker(2), Addr::Coordinator, frame::encode(&stray))
+        .unwrap();
+    let mut clu = saps_over(workers, Framed::new(transport, tap));
+    let mut clean = clean_trainer(workers);
+    let (mut tc, mut ts) = (
+        TrafficAccountant::new(workers),
+        TrafficAccountant::new(workers),
+    );
+    for round in 0..2 {
+        let l = step(&mut clu, round, &mut ts);
+        assert_eq!(l.to_bits(), step(&mut clean, round, &mut tc).to_bits());
+    }
+    assert_eq!(clu.fabric().late_models(), 1);
+    assert_eq!(clean.fabric().late_models(), 0);
 }

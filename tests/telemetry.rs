@@ -19,10 +19,11 @@
 
 use saps::cluster::{
     cluster_registry, Addr, ClusterError, ClusterTrainer, FaultPlan, FaultScope, FaultyTransport,
-    LoopbackTransport, WireTap,
+    Framed, LoopbackTransport, WireTap,
 };
 use saps::core::{
-    AlgorithmSpec, Experiment, Recorder, RoundCtx, RunHistory, SapsConfig, ScenarioEvent, Trainer,
+    AlgorithmSpec, Experiment, Recorder, RoundCtx, RunHistory, SapsConfig, SapsPsgd, ScenarioEvent,
+    Trainer,
 };
 use saps::data::{partition, Dataset, SyntheticSpec};
 use saps::netsim::{BandwidthMatrix, TrafficAccountant};
@@ -123,31 +124,30 @@ fn model(rng: &mut rand::rngs::StdRng) -> saps::nn::Model {
     zoo::mlp(&[16, 20, 4], rng)
 }
 
+type FaultyTrainer = SapsPsgd<Framed<FaultyTransport<LoopbackTransport>>>;
+
+/// SAPS-PSGD over a faulty wire that stalls out after 50 idle sweeps.
 fn faulty_trainer(
     workers: usize,
     plan: FaultPlan,
     seed: u64,
-) -> (
-    ClusterTrainer<FaultyTransport<LoopbackTransport>>,
-    saps::cluster::PlanHandle,
-) {
+) -> (FaultyTrainer, saps::cluster::PlanHandle) {
     let tap = WireTap::new();
     let transport = FaultyTransport::new(LoopbackTransport::new(tap.clone()), plan, seed);
     let handle = transport.plan_handle();
-    let clu = ClusterTrainer::with_transport(
+    let clu = SapsPsgd::over(
         cfg(workers),
         parts(workers),
         &BandwidthMatrix::constant(workers, 1.0),
         model,
-        transport,
-        tap,
+        Framed::new(transport, tap).with_stall_limit(50),
     )
     .unwrap();
     (clu, handle)
 }
 
 fn step_with(
-    trainer: &mut ClusterTrainer<FaultyTransport<LoopbackTransport>>,
+    trainer: &mut FaultyTrainer,
     round: usize,
     traffic: &mut TrafficAccountant,
     rec: &Recorder,
@@ -220,11 +220,8 @@ fn stalled_run_dumps_a_trail_naming_the_round() {
     // One healthy round so the dump has context, then the wire dies.
     step_with(&mut clu, 0, &mut traffic, &rec).unwrap();
     handle.set(FaultPlan::none().with_drop(1.0));
-    let mut clu = clu.with_stall_limit(50);
     match step_with(&mut clu, 1, &mut traffic, &rec) {
-        Err(ClusterError::Protocol(msg)) => {
-            assert!(msg.contains("quiescent"), "unexpected stall: {msg}")
-        }
+        Err(ClusterError::Stalled { .. }) => {}
         other => panic!("expected a stall, got {other:?}"),
     }
 
