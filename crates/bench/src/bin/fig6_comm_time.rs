@@ -42,12 +42,7 @@ fn parse_time_model(args: &mut Vec<String>) -> TimeModel {
     let mut model = TimeModel::Analytic;
     let mut resolve = |name: &str| match name {
         "analytic" => model = TimeModel::Analytic,
-        "des" => {
-            model = TimeModel::EventDriven {
-                latency: commtime::DES_DEFAULT_LATENCY_S,
-                contention: true,
-            }
-        }
+        "des" => model = TimeModel::event_driven(commtime::DES_DEFAULT_LATENCY_S),
         other => {
             eprintln!("unknown time model {other}; use --time-model=analytic|des");
             std::process::exit(2);

@@ -123,10 +123,9 @@ impl Args {
                 "--time-model" => {
                     a.time_model = match val.as_str() {
                         "analytic" => TimeModel::Analytic,
-                        "des" => TimeModel::EventDriven {
-                            latency: saps_bench::commtime::DES_DEFAULT_LATENCY_S,
-                            contention: true,
-                        },
+                        "des" => {
+                            TimeModel::event_driven(saps_bench::commtime::DES_DEFAULT_LATENCY_S)
+                        }
                         _ => usage("bad --time-model (use analytic|des)"),
                     }
                 }

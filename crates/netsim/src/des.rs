@@ -10,14 +10,14 @@
 //!   contention between pairs, no straggler overlap. This is the
 //!   paper's own accounting and the default.
 //! * [`TimeModel::EventDriven`] — each transfer becomes a flow in the
-//!   [`crate::flows`] simulator: per-link latency, fair-share bandwidth
+//!   [`crate::flows`] engine: per-link latency, fair-share bandwidth
 //!   splitting among concurrent flows on a link, and staggered flow
 //!   releases when stragglers finish their local compute late.
-//! * [`TimeModel::Packet`] — the same flow sets priced by the
-//!   packet-level engine ([`crate::packet`]): per-flow AIMD congestion
-//!   windows, finite link queues, seeded random loss and RTT. With an
-//!   ideal [`PacketConfig`] (zero RTT, zero loss) it reproduces the
-//!   event-driven prices bit-for-bit.
+//! * [`TimeModel::Packet`] — the same flow sets through the same engine
+//!   with the link dynamics of a [`PacketConfig`] switched on
+//!   ([`crate::packet`]): per-flow AIMD congestion windows, finite link
+//!   queues, seeded random loss and RTT. An ideal config (zero RTT,
+//!   zero loss) *is* the zero-latency event-driven model.
 //!
 //! All models price the *same* transfer set — switching the model can
 //! change time and nothing else. For the peer-to-peer,
@@ -34,8 +34,8 @@
 //! (compute vs transfer vs idle), which the experiment driver surfaces
 //! per round in `RunHistory`.
 
-use crate::flows::{simulate, FlowSpec, SimConfig, SimReport};
-use crate::packet::{simulate_packets, PacketConfig};
+use crate::flows::{simulate, FlowSpec};
+use crate::packet::PacketConfig;
 use crate::timemodel;
 use crate::BandwidthMatrix;
 
@@ -47,30 +47,24 @@ pub enum TimeModel {
     /// paper's accounting and the default.
     #[default]
     Analytic,
-    /// Discrete-event fluid simulation ([`crate::flows`]).
+    /// Discrete-event fluid simulation ([`crate::flows`]): concurrent
+    /// flows on a link share it fairly.
     EventDriven {
         /// One-way per-link latency in seconds (paid per transfer, or
         /// per step for multi-step collectives).
         latency: f64,
-        /// Fair-share bandwidth splitting among concurrent flows on the
-        /// same link. `false` idealizes links as uncontended.
-        contention: bool,
     },
     /// Packet-level simulation ([`crate::packet`]): the event-driven
     /// flow sets priced with per-flow AIMD congestion windows, finite
-    /// link queues, seeded random loss and round-trip latency.
-    /// Contention is always on.
+    /// link queues, seeded random loss and `rtt_s / 2` of one-way
+    /// latency.
     Packet(PacketConfig),
 }
 
 impl TimeModel {
-    /// An event-driven model with `latency` seconds per link and
-    /// fair-share contention enabled.
+    /// An event-driven model with `latency` seconds per link.
     pub fn event_driven(latency: f64) -> Self {
-        TimeModel::EventDriven {
-            latency,
-            contention: true,
-        }
+        TimeModel::EventDriven { latency }
     }
 
     /// A packet-level model with the given link configuration.
@@ -88,26 +82,13 @@ impl TimeModel {
         }
     }
 
-    fn sim_config(&self) -> SimConfig {
+    /// What this model hands the flow engine — one-way latency and
+    /// link dynamics — or `None` for the closed forms.
+    fn link(&self) -> Option<(f64, PacketConfig)> {
         match *self {
-            TimeModel::Analytic | TimeModel::Packet(_) => SimConfig::default(),
-            TimeModel::EventDriven {
-                latency,
-                contention,
-            } => SimConfig {
-                latency_s: latency,
-                contention,
-            },
-        }
-    }
-
-    /// Prices an already-built flow set through whichever simulator this
-    /// model selects. Callers guarantee the model is not `Analytic`.
-    fn run_flows(&self, bw: &BandwidthMatrix, flows: &[FlowSpec]) -> SimReport {
-        match self {
-            TimeModel::Analytic => unreachable!("analytic pricing never builds flows"),
-            TimeModel::EventDriven { .. } => simulate(bw, &self.sim_config(), flows, &[]),
-            TimeModel::Packet(cfg) => simulate_packets(bw, cfg, flows, &[]),
+            TimeModel::Analytic => None,
+            TimeModel::EventDriven { latency } => Some((latency, PacketConfig::ideal())),
+            TimeModel::Packet(cfg) => Some((cfg.rtt_s / 2.0, cfg)),
         }
     }
 }
@@ -132,11 +113,11 @@ pub struct RoundTiming {
     /// compute and the time it had at least one active transfer.
     pub idle_s: f64,
     /// Segments retransmitted while pricing this round
-    /// ([`SimReport::retransmit_segments`]); 0 except under
+    /// ([`crate::flows::SimReport::retransmit_segments`]); 0 except under
     /// [`TimeModel::Packet`].
     pub retransmit_segments: u64,
     /// Deepest receiver queue observed while pricing this round
-    /// ([`SimReport::peak_queue_bytes`], bytes); 0 except under
+    /// ([`crate::flows::SimReport::peak_queue_bytes`], bytes); 0 except under
     /// [`TimeModel::Packet`].
     pub peak_queue_bytes: f64,
 }
@@ -189,9 +170,15 @@ fn analytic_timing(n: usize, starts: &[f64], transfer_s: f64) -> RoundTiming {
     }
 }
 
-/// Breakdown from a simulator report: the round ends when the last flow
-/// lands (but no earlier than the last compute finish).
-fn des_timing(bw: &BandwidthMatrix, starts: &[f64], rep: &SimReport) -> RoundTiming {
+/// Breakdown from simulating `flows` on the engine: the round ends when
+/// the last flow lands (but no earlier than the last compute finish).
+fn simulated_timing(
+    bw: &BandwidthMatrix,
+    (latency_s, link): (f64, PacketConfig),
+    flows: &[FlowSpec],
+    starts: &[f64],
+) -> RoundTiming {
+    let rep = simulate(bw, latency_s, &link, flows, &[]);
     let compute_s = max_start(starts);
     let total_s = rep.makespan_s.max(compute_s);
     let idle_s = if !total_s.is_finite() {
@@ -225,26 +212,21 @@ impl TimeModel {
         transfers: &[(usize, usize, u64)],
         starts: &[f64],
     ) -> RoundTiming {
-        match self {
-            TimeModel::Analytic => {
-                analytic_timing(bw.len(), starts, timemodel::p2p_round_time(bw, transfers))
-            }
-            TimeModel::EventDriven { .. } | TimeModel::Packet(_) => {
-                let flows: Vec<FlowSpec> = transfers
-                    .iter()
-                    .map(|&(src, dst, bytes)| {
-                        // `f64::max` drops NaN (departed-rank) starts;
-                        // the trailing .max(0.0) keeps the release
-                        // finite even if a caller lists a transfer
-                        // between two departed ranks.
-                        let release = start_of(starts, src).max(start_of(starts, dst)).max(0.0);
-                        FlowSpec::new(src, dst, bytes as f64).released_at(release)
-                    })
-                    .collect();
-                let rep = self.run_flows(bw, &flows);
-                des_timing(bw, starts, &rep)
-            }
-        }
+        let Some(link) = self.link() else {
+            let transfer_s = timemodel::p2p_round_time(bw, transfers);
+            return analytic_timing(bw.len(), starts, transfer_s);
+        };
+        let flows: Vec<FlowSpec> = transfers
+            .iter()
+            .map(|&(src, dst, bytes)| {
+                // `f64::max` drops NaN (departed-rank) starts; the
+                // trailing .max(0.0) keeps the release finite even if a
+                // caller lists a transfer between two departed ranks.
+                let release = start_of(starts, src).max(start_of(starts, dst)).max(0.0);
+                FlowSpec::new(src, dst, bytes as f64).released_at(release)
+            })
+            .collect();
+        simulated_timing(bw, link, &flows, starts)
     }
 
     /// Prices one parameter-server round (FedAvg / S-FedAvg): each
@@ -260,34 +242,28 @@ impl TimeModel {
         clients: &[(usize, u64, u64)],
         starts: &[f64],
     ) -> RoundTiming {
-        match self {
-            TimeModel::Analytic => analytic_timing(
-                bw.len(),
-                starts,
-                timemodel::ps_round_time(bw, server, clients),
-            ),
-            TimeModel::EventDriven { .. } | TimeModel::Packet(_) => {
-                let mut flows = Vec::with_capacity(2 * clients.len());
-                for (chain, &(w, up, down)) in clients.iter().enumerate() {
-                    if w == server {
-                        continue;
-                    }
-                    let release = start_of(starts, w).max(start_of(starts, server)).max(0.0);
-                    flows.push(
-                        FlowSpec::new(w, server, up as f64)
-                            .released_at(release)
-                            .on_chain(chain),
-                    );
-                    flows.push(
-                        FlowSpec::new(server, w, down as f64)
-                            .released_at(release)
-                            .on_chain(chain),
-                    );
-                }
-                let rep = self.run_flows(bw, &flows);
-                des_timing(bw, starts, &rep)
+        let Some(link) = self.link() else {
+            let transfer_s = timemodel::ps_round_time(bw, server, clients);
+            return analytic_timing(bw.len(), starts, transfer_s);
+        };
+        let mut flows = Vec::with_capacity(2 * clients.len());
+        for (chain, &(w, up, down)) in clients.iter().enumerate() {
+            if w == server {
+                continue;
             }
+            let release = start_of(starts, w).max(start_of(starts, server)).max(0.0);
+            flows.push(
+                FlowSpec::new(w, server, up as f64)
+                    .released_at(release)
+                    .on_chain(chain),
+            );
+            flows.push(
+                FlowSpec::new(server, w, down as f64)
+                    .released_at(release)
+                    .on_chain(chain),
+            );
         }
+        simulated_timing(bw, link, &flows, starts)
     }
 
     /// Prices a ring all-reduce over `ranks` in order (the PSGD
@@ -296,8 +272,8 @@ impl TimeModel {
     /// event-driven model each ring link carries one flow of the full
     /// per-worker payload paying `2(m−1)` step latencies, released at
     /// the collective's barrier (the slowest compute). For `m = 2` the
-    /// two ring directions share the single duplex pair under
-    /// contention, pricing 2× the analytic formula.
+    /// two ring directions share the single duplex pair, pricing 2× the
+    /// analytic formula.
     pub fn price_allreduce(
         &self,
         bw: &BandwidthMatrix,
@@ -305,30 +281,24 @@ impl TimeModel {
         bytes_per_worker: u64,
         starts: &[f64],
     ) -> RoundTiming {
-        match self {
-            TimeModel::Analytic => analytic_timing(
-                bw.len(),
-                starts,
-                timemodel::allreduce_ring_time_over(bw, ranks, bytes_per_worker),
-            ),
-            TimeModel::EventDriven { .. } | TimeModel::Packet(_) => {
-                let m = ranks.len();
-                let barrier = max_start(starts);
-                let mut flows = Vec::with_capacity(m);
-                if m >= 2 {
-                    let steps = 2 * (m as u32 - 1);
-                    for i in 0..m {
-                        flows.push(
-                            FlowSpec::new(ranks[i], ranks[(i + 1) % m], bytes_per_worker as f64)
-                                .released_at(barrier)
-                                .with_latency_units(steps),
-                        );
-                    }
-                }
-                let rep = self.run_flows(bw, &flows);
-                des_timing(bw, starts, &rep)
+        let Some(link) = self.link() else {
+            let transfer_s = timemodel::allreduce_ring_time_over(bw, ranks, bytes_per_worker);
+            return analytic_timing(bw.len(), starts, transfer_s);
+        };
+        let m = ranks.len();
+        let barrier = max_start(starts);
+        let mut flows = Vec::with_capacity(m);
+        if m >= 2 {
+            let steps = 2 * (m as u32 - 1);
+            for i in 0..m {
+                flows.push(
+                    FlowSpec::new(ranks[i], ranks[(i + 1) % m], bytes_per_worker as f64)
+                        .released_at(barrier)
+                        .with_latency_units(steps),
+                );
             }
         }
+        simulated_timing(bw, link, &flows, starts)
     }
 
     /// Prices a sparse allgather over `ranks` (the TopK-PSGD pattern):
@@ -348,32 +318,26 @@ impl TimeModel {
         bytes: u64,
         starts: &[f64],
     ) -> RoundTiming {
-        match self {
-            TimeModel::Analytic => analytic_timing(
-                bw.len(),
-                starts,
-                timemodel::allgather_time_over(bw, ranks, bytes),
-            ),
-            TimeModel::EventDriven { .. } | TimeModel::Packet(_) => {
-                let m = ranks.len();
-                let barrier = max_start(starts);
-                let mut flows = Vec::with_capacity(m.saturating_sub(1) * m);
-                if m >= 2 {
-                    for i in 0..m {
-                        for k in 0..(m - 1) {
-                            let j = (i + k + 1) % m;
-                            flows.push(
-                                FlowSpec::new(ranks[i], ranks[j], bytes as f64)
-                                    .released_at(barrier)
-                                    .on_chain(i),
-                            );
-                        }
-                    }
+        let Some(link) = self.link() else {
+            let transfer_s = timemodel::allgather_time_over(bw, ranks, bytes);
+            return analytic_timing(bw.len(), starts, transfer_s);
+        };
+        let m = ranks.len();
+        let barrier = max_start(starts);
+        let mut flows = Vec::with_capacity(m.saturating_sub(1) * m);
+        if m >= 2 {
+            for i in 0..m {
+                for k in 0..(m - 1) {
+                    let j = (i + k + 1) % m;
+                    flows.push(
+                        FlowSpec::new(ranks[i], ranks[j], bytes as f64)
+                            .released_at(barrier)
+                            .on_chain(i),
+                    );
                 }
-                let rep = self.run_flows(bw, &flows);
-                des_timing(bw, starts, &rep)
             }
         }
+        simulated_timing(bw, link, &flows, starts)
     }
 }
 
@@ -410,21 +374,21 @@ mod tests {
         let clients = [(0usize, 1_000_000u64, 1_000_000u64), (1, 500_000, 500_000)];
         let des = TimeModel::event_driven(0.0);
         let pkt = TimeModel::packet(PacketConfig::ideal());
-        approx(
-            pkt.price_p2p(&bw, &transfers, &[]).transfer_s,
-            des.price_p2p(&bw, &transfers, &[]).transfer_s,
+        assert_eq!(
+            pkt.price_p2p(&bw, &transfers, &[]),
+            des.price_p2p(&bw, &transfers, &[]),
         );
-        approx(
-            pkt.price_ps(&bw, 2, &clients, &[]).transfer_s,
-            des.price_ps(&bw, 2, &clients, &[]).transfer_s,
+        assert_eq!(
+            pkt.price_ps(&bw, 2, &clients, &[]),
+            des.price_ps(&bw, 2, &clients, &[]),
         );
-        approx(
-            pkt.price_allreduce(&bw, &ranks, 8_000_000, &[]).transfer_s,
-            des.price_allreduce(&bw, &ranks, 8_000_000, &[]).transfer_s,
+        assert_eq!(
+            pkt.price_allreduce(&bw, &ranks, 8_000_000, &[]),
+            des.price_allreduce(&bw, &ranks, 8_000_000, &[]),
         );
-        approx(
-            pkt.price_allgather(&bw, &ranks, 1_000_000, &[]).transfer_s,
-            des.price_allgather(&bw, &ranks, 1_000_000, &[]).transfer_s,
+        assert_eq!(
+            pkt.price_allgather(&bw, &ranks, 1_000_000, &[]),
+            des.price_allgather(&bw, &ranks, 1_000_000, &[]),
         );
     }
 

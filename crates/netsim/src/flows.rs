@@ -1,15 +1,25 @@
-//! The fluid-flow core of the discrete-event network simulator.
+//! The flow engine of the discrete-event network simulator.
 //!
 //! A round's communication is a set of [`FlowSpec`]s: directed transfers
-//! over the links of a [`BandwidthMatrix`]. The simulator advances a
-//! virtual clock from event to event (flow releases, latency expiries,
-//! completions, [`RateUpdate`]s) and moves bytes continuously between
-//! events under the **fair-share rule**: all flows transferring on the
-//! same unordered link pair at the same instant split that pair's
-//! bandwidth equally, and a flow's rate is recomputed whenever the set
-//! of its link's concurrent flows (or the matrix itself) changes.
+//! over the links of a [`BandwidthMatrix`]. [`simulate`] — the only event
+//! loop in this crate — advances a virtual clock from event to event
+//! (flow releases, latency expiries, completions, [`RateUpdate`]s) and
+//! moves bytes continuously between events under the **fair-share
+//! rule**: all flows transferring on the same unordered link pair at the
+//! same instant split that pair's bandwidth equally, and a flow's rate is
+//! recomputed whenever the set of its link's concurrent flows (or the
+//! matrix itself) changes.
 //!
-//! Everything is deterministic: no wall clock, no hashing, no RNG —
+//! On top of fair sharing the engine takes the link dynamics of a
+//! [`PacketConfig`]: at positive RTT every flow carries an AIMD
+//! congestion window (per-RTT ticks, finite queues, congestion drops),
+//! and at positive loss probability every flow draws seeded random
+//! segment losses — see [`crate::packet`]. With both off (the *fluid*
+//! case, [`PacketConfig::ideal`]) none of that state exists and the loop
+//! is the plain fair-share simulator.
+//!
+//! Everything is deterministic: no wall clock, no hashing, and the only
+//! randomness is the per-flow loss RNGs seeded from the flow's identity —
 //! flows are processed in submission order and ties resolve by index,
 //! so two simulations of the same inputs produce bit-identical
 //! [`SimReport`]s.
@@ -20,12 +30,13 @@
 //! for mid-flight bandwidth changes (congestion hitting a round that is
 //! already in progress).
 
+use crate::packet::{Loss, PacketConfig, Windows};
 use crate::BandwidthMatrix;
 
 /// Fraction of a flow's original bytes below which the remainder is
 /// considered delivered (absorbs float rounding when a completion event
 /// lands exactly on the clock).
-const COMPLETION_EPS: f64 = 1e-9;
+pub(crate) const COMPLETION_EPS: f64 = 1e-9;
 
 /// One directed transfer handed to the simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,27 +93,6 @@ impl FlowSpec {
     }
 }
 
-/// Simulator knobs shared by every flow of one run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimConfig {
-    /// One-way link latency in seconds, paid once per
-    /// [`FlowSpec::latency_units`] before bytes arrive.
-    pub latency_s: f64,
-    /// Whether concurrent flows on the same unordered link pair split
-    /// its bandwidth fairly. With `false` every flow sees the full link
-    /// rate (an idealized full-duplex, infinitely-queued link).
-    pub contention: bool,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            latency_s: 0.0,
-            contention: true,
-        }
-    }
-}
-
 /// A scheduled change to the link-rate matrix while flows are in flight
 /// — a `BandwidthShift`/`LinkChange` scenario event or a drifting
 /// bandwidth refresh landing mid-round. In-flight flows keep the bytes
@@ -137,11 +127,10 @@ pub struct SimReport {
     /// transferring on one of its links (sender or receiver side).
     pub busy_s: Vec<f64>,
     /// MSS-sized segments retransmitted (random loss + congestion
-    /// drops). Always 0 under the fluid model — only the packet
-    /// simulator retransmits.
+    /// drops). Always 0 with windows and loss off.
     pub retransmit_segments: u64,
     /// Deepest receiver queue observed across all flows (bytes). Always
-    /// 0 under the fluid model, which has no queues.
+    /// 0 at zero RTT, where there are no queues.
     pub peak_queue_bytes: f64,
 }
 
@@ -157,23 +146,46 @@ enum St {
     Done(f64),
 }
 
-/// Runs the fluid fair-share simulation of `flows` over `bw`, applying
+/// Runs the fair-share simulation of `flows` over `bw`, applying
 /// `updates` (which must be sorted by [`RateUpdate::at_s`]) as the clock
 /// passes them. Returns per-flow start/finish times, per-rank busy
 /// times and the makespan.
 ///
+/// Every flow pays `latency_s` of one-way latency per
+/// [`FlowSpec::latency_units`] before its first byte arrives. `link`
+/// switches on the packet-level dynamics of [`crate::packet`]: AIMD
+/// windows and queues at `link.rtt_s > 0`, seeded random loss at
+/// `link.loss > 0`; [`PacketConfig::ideal`] is the fluid simulator.
+/// [`crate::TimeModel::EventDriven`] is `(latency, ideal)` and
+/// [`crate::TimeModel::Packet`] is `(cfg.rtt_s / 2, cfg)`.
+///
 /// # Panics
 ///
 /// Panics if a flow references a rank outside the matrix, has negative
-/// or non-finite bytes or release time, or if `updates` are unsorted or
-/// sized differently from `bw`.
+/// or non-finite bytes or release time, if `updates` are unsorted or
+/// sized differently from `bw`, or if `link` has a non-finite or
+/// non-positive `mss`, a negative or non-finite `rtt_s`, or a `loss`
+/// outside `[0, 1)`.
 pub fn simulate(
     bw: &BandwidthMatrix,
-    cfg: &SimConfig,
+    latency_s: f64,
+    link: &PacketConfig,
     flows: &[FlowSpec],
     updates: &[RateUpdate],
 ) -> SimReport {
     let n = bw.len();
+    assert!(
+        link.mss.is_finite() && link.mss > 0.0,
+        "mss must be finite and positive"
+    );
+    assert!(
+        link.rtt_s.is_finite() && link.rtt_s >= 0.0,
+        "rtt must be finite and non-negative"
+    );
+    assert!(
+        (0.0..1.0).contains(&link.loss),
+        "loss probability must be in [0, 1)"
+    );
     for f in flows {
         assert!(f.src < n && f.dst < n, "flow endpoint out of range");
         assert!(
@@ -229,6 +241,21 @@ pub fn simulate(
         }
     }
 
+    // Flows on the same unordered link pair share its bandwidth:
+    // `pair[i]` indexes flow i's pair among the distinct pairs in use.
+    let pair_key = |f: &FlowSpec| (f.src.min(f.dst), f.src.max(f.dst));
+    let mut pairs: Vec<(usize, usize)> = flows.iter().map(pair_key).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let pair: Vec<usize> = flows
+        .iter()
+        .map(|f| {
+            pairs
+                .binary_search(&pair_key(f))
+                .expect("every flow's pair is listed")
+        })
+        .collect();
+
     let mut state: Vec<St> = flows
         .iter()
         .enumerate()
@@ -238,18 +265,31 @@ pub fn simulate(
             } else {
                 report.flows[i].start_s = f.release_s;
                 St::Latency {
-                    ready: f.release_s + cfg.latency_s * f.latency_units as f64,
+                    ready: f.release_s + latency_s * f.latency_units as f64,
                 }
             }
         })
         .collect();
+    // `remaining` counts bytes still to deliver, retransmissions
+    // included; it can grow past the original size under loss.
     let mut remaining: Vec<f64> = flows.iter().map(|f| f.bytes).collect();
     let eps: Vec<f64> = flows
         .iter()
         .map(|f| COMPLETION_EPS * f.bytes.max(1.0))
         .collect();
+    let loss_eps = COMPLETION_EPS * link.mss;
 
-    let mut current = bw.clone();
+    // Packet-level state exists only when the link asks for it.
+    let mut windows = Windows::new(link, flows.len(), pairs.len());
+    let mut loss = Loss::new(link, flows);
+
+    // Per-event scratch: active flows per pair, each active flow's send
+    // rate over the interval, ranks with bytes moving.
+    let mut load: Vec<u32> = vec![0; pairs.len()];
+    let mut rate: Vec<f64> = vec![0.0; flows.len()];
+    let mut engaged: Vec<bool> = vec![false; n];
+
+    let mut current = bw;
     let mut next_update = 0usize;
     let mut t = 0.0f64;
     let mut done = 0usize;
@@ -257,16 +297,16 @@ pub fn simulate(
     // Marks flow `i` delivered at time `at` and releases its chain
     // successor.
     macro_rules! complete {
-        ($i:expr, $at:expr, $state:ident, $report:ident) => {{
+        ($i:expr, $at:expr) => {{
             let i = $i;
-            $state[i] = St::Done($at);
-            $report.flows[i].finish_s = $at;
+            state[i] = St::Done($at);
+            report.flows[i].finish_s = $at;
             done += 1;
             if let Some(s) = chain_succ[i] {
                 let start = flows[s].release_s.max($at);
-                $report.flows[s].start_s = start;
-                $state[s] = St::Latency {
-                    ready: start + cfg.latency_s * flows[s].latency_units as f64,
+                report.flows[s].start_s = start;
+                state[s] = St::Latency {
+                    ready: start + latency_s * flows[s].latency_units as f64,
                 };
             }
         }};
@@ -274,16 +314,20 @@ pub fn simulate(
 
     while done < flows.len() {
         // Promote latency expiries due at the current clock, completing
-        // empty flows on the spot.
+        // empty flows on the spot. A freshly active windowed flow
+        // schedules its first tick one RTT out.
         loop {
             let mut promoted = false;
             for i in 0..flows.len() {
                 if let St::Latency { ready } = state[i] {
                     if ready <= t {
                         if remaining[i] <= eps[i] {
-                            complete!(i, ready.max(t), state, report);
+                            complete!(i, ready.max(t));
                         } else {
                             state[i] = St::Active;
+                            if let Some(w) = &mut windows {
+                                w.next_tick[i] = t + link.rtt_s;
+                            }
                         }
                         promoted = true;
                     }
@@ -297,45 +341,56 @@ pub fn simulate(
             break;
         }
 
-        // Fair-share rates for the active set: count the active flows on
-        // each unordered pair, then give each flow its pair's capacity
-        // divided by that count (or the full capacity without
-        // contention).
-        let mut pair_load: Vec<(usize, usize, u32)> = Vec::new();
-        if cfg.contention {
-            for (i, f) in flows.iter().enumerate() {
-                if matches!(state[i], St::Active) {
-                    let key = (f.src.min(f.dst), f.src.max(f.dst));
-                    match pair_load.iter_mut().find(|(a, b, _)| (*a, *b) == key) {
-                        Some(e) => e.2 += 1,
-                        None => pair_load.push((key.0, key.1, 1)),
-                    }
+        // Per-pair aggregates over the active set: the fair-share
+        // divisor plus (windowed) the summed windows that decide
+        // queueing.
+        load.fill(0);
+        if let Some(w) = &mut windows {
+            w.pair_wnd.fill(0.0);
+        }
+        for i in 0..flows.len() {
+            if state[i] == St::Active {
+                load[pair[i]] += 1;
+                if let Some(w) = &mut windows {
+                    w.pair_wnd[pair[i]] += w.cwnd[i];
                 }
             }
         }
-        let rate = |i: usize| -> f64 {
-            let f = &flows[i];
-            let cap = current.get(f.src, f.dst) * 1e6; // MB/s → bytes/s
-            if !cfg.contention {
-                return cap;
+        // Send rate of every active flow over this interval: its pair's
+        // capacity split by the load, clamped by the window if there is
+        // one. A dead link moves nothing.
+        for (i, f) in flows.iter().enumerate() {
+            if state[i] == St::Active {
+                let cap = current.get(f.src, f.dst) * 1e6; // MB/s → bytes/s
+                rate[i] = if cap <= 0.0 {
+                    0.0
+                } else {
+                    let share = cap / f64::from(load[pair[i]]);
+                    match &mut windows {
+                        None => share,
+                        Some(w) => {
+                            let (clamped, queue_bytes) = w.clamp(i, pair[i], cap, share);
+                            report.peak_queue_bytes = report.peak_queue_bytes.max(queue_bytes);
+                            clamped
+                        }
+                    }
+                };
             }
-            let key = (f.src.min(f.dst), f.src.max(f.dst));
-            let load = pair_load
-                .iter()
-                .find(|(a, b, _)| (*a, *b) == key)
-                .map_or(1, |e| e.2);
-            cap / load as f64
-        };
+        }
 
-        // Next event: earliest completion, latency expiry, or rate
-        // update.
+        // Next event: completion, random-loss crossing, window tick,
+        // latency expiry, or rate update. Starved flows (dead link)
+        // schedule nothing — only a rate update can rescue them.
         let mut t_next = f64::INFINITY;
         for i in 0..flows.len() {
             match state[i] {
-                St::Active => {
-                    let r = rate(i);
-                    if r > 0.0 {
-                        t_next = t_next.min(t + remaining[i] / r);
+                St::Active if rate[i] > 0.0 => {
+                    t_next = t_next.min(t + remaining[i] / rate[i]);
+                    if let Some(l) = &loss {
+                        t_next = t_next.min(t + l.to_loss[i] / rate[i]);
+                    }
+                    if let Some(w) = &windows {
+                        t_next = t_next.min(w.next_tick[i]);
                     }
                 }
                 St::Latency { ready } => t_next = t_next.min(ready),
@@ -352,20 +407,21 @@ pub fn simulate(
             return report;
         }
 
-        // Advance bytes and busy clocks over [t, t_next]. A flow
-        // starved on a dead link (rate 0, waiting for a rate update)
-        // moves nothing and does not make its endpoints busy.
+        // Advance bytes (delivered and toward the next loss) and busy
+        // clocks over [t, t_next]. A flow starved on a dead link moves
+        // nothing and does not make its endpoints busy.
         let dt = (t_next - t).max(0.0);
         if dt > 0.0 {
-            let mut engaged = vec![false; n];
-            for i in 0..flows.len() {
-                if matches!(state[i], St::Active) {
-                    let r = rate(i);
-                    if r > 0.0 {
-                        remaining[i] = (remaining[i] - r * dt).max(0.0);
-                        engaged[flows[i].src] = true;
-                        engaged[flows[i].dst] = true;
+            engaged.fill(false);
+            for (i, f) in flows.iter().enumerate() {
+                if state[i] == St::Active && rate[i] > 0.0 {
+                    let sent = rate[i] * dt;
+                    remaining[i] = (remaining[i] - sent).max(0.0);
+                    if let Some(l) = &mut loss {
+                        l.to_loss[i] = (l.to_loss[i] - sent).max(0.0);
                     }
+                    engaged[f.src] = true;
+                    engaged[f.dst] = true;
                 }
             }
             for (b, e) in report.busy_s.iter_mut().zip(&engaged) {
@@ -376,16 +432,42 @@ pub fn simulate(
         }
         t = t_next;
 
-        // Apply rate updates that have come due.
+        // Apply rate updates that have come due. `rate` keeps the
+        // interval's values: ticks below judge what the flow just sent.
         while next_update < updates.len() && updates[next_update].at_s <= t {
-            current = updates[next_update].bw.clone();
+            current = &updates[next_update].bw;
             next_update += 1;
         }
 
-        // Complete drained flows.
+        // Handle the events that landed at `t`, in flow-index order.
+        // Completion wins over a coincident loss (the last byte already
+        // arrived); loss and tick may both fire.
         for i in 0..flows.len() {
-            if matches!(state[i], St::Active) && remaining[i] <= eps[i] {
-                complete!(i, t, state, report);
+            if state[i] != St::Active {
+                continue;
+            }
+            if remaining[i] <= eps[i] {
+                complete!(i, t);
+                continue;
+            }
+            if let Some(l) = &mut loss {
+                if l.to_loss[i] <= loss_eps {
+                    remaining[i] += link.mss;
+                    report.retransmit_segments += 1;
+                    l.redraw(i);
+                    if let Some(w) = &mut windows {
+                        w.halve(i);
+                    }
+                }
+            }
+            if let Some(w) = &mut windows {
+                if w.next_tick[i] <= t && rate[i] > 0.0 {
+                    if let Some(resend) = w.tick(i, rate[i]) {
+                        remaining[i] += resend;
+                        report.retransmit_segments += 1;
+                    }
+                    w.next_tick[i] = t + link.rtt_s;
+                }
             }
         }
     }
@@ -402,6 +484,16 @@ pub fn simulate(
 mod tests {
     use super::*;
 
+    /// Windows and loss off: the plain fair-share simulator.
+    fn fluid(
+        bw: &BandwidthMatrix,
+        latency_s: f64,
+        flows: &[FlowSpec],
+        updates: &[RateUpdate],
+    ) -> SimReport {
+        simulate(bw, latency_s, &PacketConfig::ideal(), flows, updates)
+    }
+
     fn approx(a: f64, b: f64) {
         assert!(
             (a - b).abs() <= 1e-9 * b.abs().max(1.0),
@@ -412,7 +504,7 @@ mod tests {
     #[test]
     fn single_flow_is_bytes_over_bandwidth() {
         let bw = BandwidthMatrix::constant(2, 2.0); // 2 MB/s
-        let rep = simulate(&bw, &SimConfig::default(), &[FlowSpec::new(0, 1, 4e6)], &[]);
+        let rep = fluid(&bw, 0.0, &[FlowSpec::new(0, 1, 4e6)], &[]);
         approx(rep.makespan_s, 2.0);
         approx(rep.busy_s[0], 2.0);
         approx(rep.busy_s[1], 2.0);
@@ -423,9 +515,9 @@ mod tests {
         // Two equal flows share the pair: each runs at half rate, both
         // finish when the link has moved the total bytes.
         let bw = BandwidthMatrix::constant(2, 1.0);
-        let rep = simulate(
+        let rep = fluid(
             &bw,
-            &SimConfig::default(),
+            0.0,
             &[FlowSpec::new(0, 1, 1e6), FlowSpec::new(1, 0, 1e6)],
             &[],
         );
@@ -440,9 +532,9 @@ mod tests {
         // t=1 (1 MB at 1 MB/s), after which the long one runs at full
         // rate: 1 MB moved by t=1, 2 MB left at 2 MB/s → t=2.
         let bw = BandwidthMatrix::constant(2, 2.0);
-        let rep = simulate(
+        let rep = fluid(
             &bw,
-            &SimConfig::default(),
+            0.0,
             &[FlowSpec::new(0, 1, 1e6), FlowSpec::new(1, 0, 3e6)],
             &[],
         );
@@ -451,33 +543,14 @@ mod tests {
     }
 
     #[test]
-    fn contention_off_overlaps_flows() {
-        let bw = BandwidthMatrix::constant(2, 1.0);
-        let cfg = SimConfig {
-            latency_s: 0.0,
-            contention: false,
-        };
-        let rep = simulate(
-            &bw,
-            &cfg,
-            &[FlowSpec::new(0, 1, 1e6), FlowSpec::new(1, 0, 1e6)],
-            &[],
-        );
-        approx(rep.makespan_s, 1.0);
-    }
-
-    #[test]
     fn latency_delays_delivery() {
         let bw = BandwidthMatrix::constant(2, 1.0);
-        let cfg = SimConfig {
-            latency_s: 0.25,
-            contention: true,
-        };
-        let rep = simulate(&bw, &cfg, &[FlowSpec::new(0, 1, 1e6)], &[]);
+        let latency = 0.25;
+        let rep = fluid(&bw, latency, &[FlowSpec::new(0, 1, 1e6)], &[]);
         approx(rep.makespan_s, 1.25);
-        let rep2 = simulate(
+        let rep2 = fluid(
             &bw,
-            &cfg,
+            latency,
             &[FlowSpec::new(0, 1, 1e6).with_latency_units(4)],
             &[],
         );
@@ -487,9 +560,9 @@ mod tests {
     #[test]
     fn chains_serialize_flows() {
         let bw = BandwidthMatrix::constant(3, 1.0);
-        let rep = simulate(
+        let rep = fluid(
             &bw,
-            &SimConfig::default(),
+            0.0,
             &[
                 FlowSpec::new(0, 1, 1e6).on_chain(7),
                 FlowSpec::new(0, 2, 1e6).on_chain(7),
@@ -504,12 +577,7 @@ mod tests {
     #[test]
     fn release_time_offsets_start() {
         let bw = BandwidthMatrix::constant(2, 1.0);
-        let rep = simulate(
-            &bw,
-            &SimConfig::default(),
-            &[FlowSpec::new(0, 1, 1e6).released_at(3.0)],
-            &[],
-        );
+        let rep = fluid(&bw, 0.0, &[FlowSpec::new(0, 1, 1e6).released_at(3.0)], &[]);
         approx(rep.flows[0].start_s, 3.0);
         approx(rep.makespan_s, 4.0);
     }
@@ -519,9 +587,9 @@ mod tests {
         // 4 MB at 2 MB/s; at t=1 the link halves to 1 MB/s: 2 MB moved,
         // 2 MB left at 1 MB/s → finish at t=3 (vs 2 s undisturbed).
         let bw = BandwidthMatrix::constant(2, 2.0);
-        let rep = simulate(
+        let rep = fluid(
             &bw,
-            &SimConfig::default(),
+            0.0,
             &[FlowSpec::new(0, 1, 4e6)],
             &[RateUpdate {
                 at_s: 1.0,
@@ -534,9 +602,9 @@ mod tests {
     #[test]
     fn rate_update_can_rescue_a_dead_link() {
         let bw = BandwidthMatrix::constant(2, 0.0);
-        let rep = simulate(
+        let rep = fluid(
             &bw,
-            &SimConfig::default(),
+            0.0,
             &[FlowSpec::new(0, 1, 1e6)],
             &[RateUpdate {
                 at_s: 5.0,
@@ -553,7 +621,7 @@ mod tests {
     #[test]
     fn dead_link_without_update_is_infinite() {
         let bw = BandwidthMatrix::constant(2, 0.0);
-        let rep = simulate(&bw, &SimConfig::default(), &[FlowSpec::new(0, 1, 1.0)], &[]);
+        let rep = fluid(&bw, 0.0, &[FlowSpec::new(0, 1, 1.0)], &[]);
         assert!(rep.makespan_s.is_infinite());
         assert!(rep.flows[0].finish_s.is_infinite());
     }
@@ -561,18 +629,15 @@ mod tests {
     #[test]
     fn empty_flow_set_is_zero_time() {
         let bw = BandwidthMatrix::constant(2, 1.0);
-        let rep = simulate(&bw, &SimConfig::default(), &[], &[]);
+        let rep = fluid(&bw, 0.0, &[], &[]);
         assert_eq!(rep.makespan_s, 0.0);
     }
 
     #[test]
     fn zero_byte_flow_finishes_at_its_latency() {
         let bw = BandwidthMatrix::constant(2, 1.0);
-        let cfg = SimConfig {
-            latency_s: 0.5,
-            contention: true,
-        };
-        let rep = simulate(&bw, &cfg, &[FlowSpec::new(0, 1, 0.0)], &[]);
+        let latency = 0.5;
+        let rep = fluid(&bw, latency, &[FlowSpec::new(0, 1, 0.0)], &[]);
         approx(rep.makespan_s, 0.5);
     }
 
@@ -584,12 +649,9 @@ mod tests {
                 FlowSpec::new(i % 4, (i + 1) % 4, 1e6 + i as f64 * 1e5).released_at(i as f64 * 0.1)
             })
             .collect();
-        let cfg = SimConfig {
-            latency_s: 0.01,
-            contention: true,
-        };
-        let a = simulate(&bw, &cfg, &flows, &[]);
-        let b = simulate(&bw, &cfg, &flows, &[]);
+        let latency = 0.01;
+        let a = fluid(&bw, latency, &flows, &[]);
+        let b = fluid(&bw, latency, &flows, &[]);
         assert_eq!(a, b);
     }
 }

@@ -15,16 +15,17 @@
 //! * [`timemodel`] — closed-form transfer-time models for peer-to-peer
 //!   rounds, parameter-server rounds and ring all-reduce (the source of
 //!   every "communication time" number in Table IV and Fig. 6);
-//! * [`flows`] + [`des`] — the discrete-event network simulator: flows
-//!   with per-link latency and fair-share bandwidth splitting, priced
-//!   behind the [`TimeModel`] switch (`Analytic` keeps the closed
-//!   forms; `EventDriven` simulates latency, contention, stragglers and
-//!   mid-flight bandwidth changes). See `docs/NETWORK_SIM.md`.
-//! * [`packet`] — the packet-level extension of the flow simulator:
-//!   per-flow AIMD congestion windows, finite link queues, seeded
-//!   random loss and RTT, selected with [`TimeModel::Packet`]. An
-//!   ideal [`PacketConfig`] degenerates to the fluid simulator
-//!   exactly.
+//! * [`flows`] + [`des`] — the discrete-event network simulator: one
+//!   flow engine ([`flows::simulate`]) with per-link latency and
+//!   fair-share bandwidth splitting, priced behind the [`TimeModel`]
+//!   switch (`Analytic` keeps the closed forms; `EventDriven` simulates
+//!   latency, contention, stragglers and mid-flight bandwidth changes).
+//!   See `docs/NETWORK_SIM.md`.
+//! * [`packet`] — the packet-level link dynamics the same engine can
+//!   switch on: per-flow AIMD congestion windows, finite link queues,
+//!   seeded random loss and RTT, selected with [`TimeModel::Packet`].
+//!   An ideal [`PacketConfig`] (windows and loss off) is the fluid
+//!   simulator.
 //! * [`workload`] — deterministic request-arrival processes (constant,
 //!   Poisson, diurnal) driving the `saps-serve` inference plane's load
 //!   in mixed training + serving scenarios.

@@ -1,16 +1,18 @@
-//! Packet-level extension of the fluid simulator: per-flow AIMD
+//! Packet-level link dynamics for the flow engine: per-flow AIMD
 //! congestion windows, finite per-link queues, seeded random loss and
 //! round-trip latency.
 //!
-//! The fluid core ([`crate::flows`]) moves bytes at the fair-share rate
-//! the instant a flow starts — an idealized transport with a perfect
-//! congestion controller and loss-free links. Real WAN transfers ramp a
-//! congestion window, queue behind other traffic, and retransmit lost
-//! segments. This module prices the same [`FlowSpec`] sets under those
-//! effects without simulating individual packets: each flow carries a
-//! window-based AIMD controller and the engine advances the clock
-//! event-to-event exactly like the fluid core, with three extra event
-//! kinds (RTT ticks, random-loss crossings, congestion drops).
+//! With windows and loss off, [`crate::flows::simulate`] moves bytes at
+//! the fair-share rate the instant a flow starts — an idealized
+//! transport with a perfect congestion controller and loss-free links.
+//! Real WAN transfers ramp a congestion window, queue behind other
+//! traffic, and retransmit lost segments. A [`PacketConfig`] switches
+//! those effects on in the same event loop without simulating
+//! individual packets: each flow carries a window-based AIMD controller
+//! and the clock gains three extra event kinds (RTT ticks, random-loss
+//! crossings, congestion drops). This module holds the configuration
+//! and the per-flow state and arithmetic of those effects; the loop
+//! itself is [`crate::flows::simulate`].
 //!
 //! **Transport model.** Every flow is its own connection with a
 //! congestion window `cwnd` (bytes), initialized to
@@ -20,9 +22,9 @@
 //! rate = min(capacity / load, cwnd / rtt_eff)
 //! ```
 //!
-//! where `capacity / load` is the fluid fair share of the flow's
-//! unordered link pair and `rtt_eff = rtt + queue_bytes / capacity` adds
-//! the queueing delay of the pair's standing buffer. Once per RTT the
+//! where `capacity / load` is the fair share of the flow's unordered
+//! link pair and `rtt_eff = rtt + queue_bytes / capacity` adds the
+//! queueing delay of the pair's standing buffer. Once per RTT the
 //! window grows by one segment (additive increase) unless the pair's
 //! aggregate window overran `BDP + queue` — then the queue overflowed,
 //! one segment is retransmitted and the window halves (multiplicative
@@ -31,14 +33,14 @@
 //! drawn per flow from a geometric distribution using a seeded RNG, and
 //! each loss costs one segment retransmission plus a window halving.
 //!
-//! **Degeneration contract.** With `rtt_s = 0` the window and queue
-//! dynamics are disabled entirely — a zero-RTT connection is perfectly
+//! **Windows and loss off.** With `rtt_s = 0` the window and queue
+//! state is never built — a zero-RTT connection is perfectly
 //! ACK-clocked, so the controller tracks the fair share exactly — and
-//! with `loss = 0` no retransmissions occur: an ideal
-//! [`PacketConfig`] reproduces the fluid simulator bit-for-bit. Loss
-//! and RTT only ever *add* time. `crates/netsim/tests/proptest_packet.rs`
-//! pins both directions of this contract against
-//! [`crate::flows::simulate`] on all four traffic patterns.
+//! with `loss = 0` no loss RNG is seeded and nothing is retransmitted:
+//! an ideal [`PacketConfig`] *is* the fluid fair-share simulator, and
+//! `mss`, `queue_segments` and `seed` are inert. Loss and RTT only ever
+//! *add* time; `crates/netsim/tests/proptest_packet.rs` pins that on
+//! the four traffic patterns.
 //!
 //! **Cost.** The engine stays event-driven — no per-packet simulation —
 //! but window ticks fire once per RTT per active flow, so a run costs
@@ -52,17 +54,12 @@
 //! the p2p makespan is invariant under permutation of the transfer
 //! list, loss and all.
 
-use crate::flows::{FlowOutcome, FlowSpec, RateUpdate, SimReport};
-use crate::BandwidthMatrix;
+use crate::flows::{FlowSpec, COMPLETION_EPS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Initial congestion window in segments (RFC 6928's IW10).
 pub const INIT_WINDOW_SEGMENTS: u32 = 10;
-
-/// Fraction of a flow's original bytes below which the remainder is
-/// considered delivered (mirrors the fluid core's completion epsilon).
-const COMPLETION_EPS: f64 = 1e-9;
 
 /// Knobs of the packet-level link model, shared by every flow of a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,10 +67,10 @@ pub struct PacketConfig {
     /// Segment size in bytes (the retransmission and window-increment
     /// unit). Default 1500.
     pub mss: f64,
-    /// Base round-trip time in seconds. `0` disables window and queue
-    /// dynamics entirely (see the module docs' degeneration contract);
-    /// flows pay `rtt_s / 2` of one-way latency per
-    /// [`FlowSpec::latency_units`].
+    /// Base round-trip time in seconds. `0` switches window and queue
+    /// dynamics off entirely (see the module docs). Under
+    /// [`crate::TimeModel::Packet`] flows also pay `rtt_s / 2` of
+    /// one-way latency per [`FlowSpec::latency_units`].
     pub rtt_s: f64,
     /// Per-segment random loss probability in `[0, 1)`. Each loss costs
     /// one segment retransmission and (at positive RTT) halves the
@@ -100,9 +97,8 @@ impl Default for PacketConfig {
 }
 
 impl PacketConfig {
-    /// The ideal configuration: zero RTT, zero loss. By the
-    /// degeneration contract this prices identically to the fluid
-    /// simulator.
+    /// The ideal configuration: zero RTT, zero loss — windows and loss
+    /// off, the fluid fair-share simulator.
     pub fn ideal() -> Self {
         PacketConfig::default()
     }
@@ -138,14 +134,6 @@ impl PacketConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum St {
-    WaitChain,
-    Latency { ready: f64 },
-    Active,
-    Done(f64),
-}
-
 /// Seeds a flow's loss RNG from its identity, not its list position:
 /// FNV-1a over `(seed, src, dst, bytes)`.
 fn flow_seed(seed: u64, f: &FlowSpec) -> u64 {
@@ -157,12 +145,9 @@ fn flow_seed(seed: u64, f: &FlowSpec) -> u64 {
     h
 }
 
-/// Draws the number of bytes this flow will send before its next random
-/// segment loss (geometric with per-segment probability `loss`).
+/// Draws the number of bytes a flow will send before its next random
+/// segment loss (geometric with per-segment probability `loss > 0`).
 fn draw_loss_bytes(rng: &mut StdRng, loss: f64, mss: f64) -> f64 {
-    if loss <= 0.0 {
-        return f64::INFINITY;
-    }
     let u: f64 = rng.gen(); // [0, 1)
                             // Continuous inversion of the geometric CDF; the lost segment is
                             // number floor(k)+1, counting from 1.
@@ -170,391 +155,117 @@ fn draw_loss_bytes(rng: &mut StdRng, loss: f64, mss: f64) -> f64 {
     k * mss
 }
 
-/// Aggregate state of one unordered link pair over an inter-event
-/// interval.
-#[derive(Debug, Clone, Copy)]
-struct PairState {
-    a: usize,
-    b: usize,
-    /// Number of active flows on the pair (fluid fair-share divisor).
-    load: u32,
-    /// Sum of the active flows' congestion windows (bytes).
-    wnd: f64,
+/// Seeded random-loss state of a run; exists only at `loss > 0`.
+pub(crate) struct Loss {
+    p: f64,
+    mss: f64,
+    rngs: Vec<StdRng>,
+    /// Bytes each flow still sends before its next lost segment.
+    pub(crate) to_loss: Vec<f64>,
 }
 
-/// Runs the packet-level simulation of `flows` over `bw`, applying
-/// `updates` (sorted by [`RateUpdate::at_s`]) as the clock passes them.
-/// The report has the same shape and semantics as the fluid core's.
-///
-/// # Panics
-///
-/// Panics under the same input conditions as [`crate::flows::simulate`],
-/// plus a non-finite/non-positive `mss`, negative or non-finite
-/// `rtt_s`, or `loss` outside `[0, 1)`.
-pub fn simulate_packets(
-    bw: &BandwidthMatrix,
-    cfg: &PacketConfig,
-    flows: &[FlowSpec],
-    updates: &[RateUpdate],
-) -> SimReport {
-    let n = bw.len();
-    assert!(
-        cfg.mss.is_finite() && cfg.mss > 0.0,
-        "mss must be finite and positive"
-    );
-    assert!(
-        cfg.rtt_s.is_finite() && cfg.rtt_s >= 0.0,
-        "rtt must be finite and non-negative"
-    );
-    assert!(
-        (0.0..1.0).contains(&cfg.loss),
-        "loss probability must be in [0, 1)"
-    );
-    for f in flows {
-        assert!(f.src < n && f.dst < n, "flow endpoint out of range");
-        assert!(
-            f.bytes.is_finite() && f.bytes >= 0.0,
-            "flow bytes must be finite and non-negative"
-        );
-        assert!(
-            f.release_s.is_finite() && f.release_s >= 0.0,
-            "flow release must be finite and non-negative"
-        );
-    }
-    for w in updates.windows(2) {
-        assert!(w[0].at_s <= w[1].at_s, "rate updates must be sorted");
-    }
-    for u in updates {
-        assert_eq!(u.bw.len(), n, "rate update matrix size mismatch");
-        assert!(u.at_s.is_finite() && u.at_s >= 0.0);
-    }
-
-    let mut report = SimReport {
-        makespan_s: 0.0,
-        flows: vec![
-            FlowOutcome {
-                start_s: 0.0,
-                finish_s: f64::INFINITY,
-            };
-            flows.len()
-        ],
-        busy_s: vec![0.0; n],
-        retransmit_segments: 0,
-        peak_queue_bytes: 0.0,
-    };
-    if flows.is_empty() {
-        return report;
-    }
-
-    let windowed = cfg.rtt_s > 0.0;
-    let one_way = cfg.rtt_s / 2.0;
-    let queue_cap = f64::from(cfg.queue_segments) * cfg.mss;
-
-    // Chain bookkeeping, identical to the fluid core.
-    let mut chain_pred: Vec<Option<usize>> = vec![None; flows.len()];
-    let mut chain_succ: Vec<Option<usize>> = vec![None; flows.len()];
-    {
-        let mut last_of_chain: Vec<(usize, usize)> = Vec::new();
-        for (i, f) in flows.iter().enumerate() {
-            if let Some(c) = f.chain {
-                if let Some(entry) = last_of_chain.iter_mut().find(|(cc, _)| *cc == c) {
-                    chain_pred[i] = Some(entry.1);
-                    chain_succ[entry.1] = Some(i);
-                    entry.1 = i;
-                } else {
-                    last_of_chain.push((c, i));
-                }
-            }
+impl Loss {
+    pub(crate) fn new(cfg: &PacketConfig, flows: &[FlowSpec]) -> Option<Self> {
+        if cfg.loss <= 0.0 {
+            return None;
         }
-    }
-
-    let mut state: Vec<St> = flows
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            if chain_pred[i].is_some() {
-                St::WaitChain
-            } else {
-                report.flows[i].start_s = f.release_s;
-                St::Latency {
-                    ready: f.release_s + one_way * f.latency_units as f64,
-                }
-            }
+        let mut rngs: Vec<StdRng> = flows
+            .iter()
+            .map(|f| StdRng::seed_from_u64(flow_seed(cfg.seed, f)))
+            .collect();
+        let to_loss = rngs
+            .iter_mut()
+            .map(|rng| draw_loss_bytes(rng, cfg.loss, cfg.mss))
+            .collect();
+        Some(Loss {
+            p: cfg.loss,
+            mss: cfg.mss,
+            rngs,
+            to_loss,
         })
-        .collect();
-    // `remaining` counts bytes still to deliver, retransmissions
-    // included; it can grow past the original size under loss.
-    let mut remaining: Vec<f64> = flows.iter().map(|f| f.bytes).collect();
-    let eps: Vec<f64> = flows
-        .iter()
-        .map(|f| COMPLETION_EPS * f.bytes.max(1.0))
-        .collect();
-    let loss_eps = COMPLETION_EPS * cfg.mss;
-
-    let mut cwnd: Vec<f64> = vec![f64::from(INIT_WINDOW_SEGMENTS) * cfg.mss; flows.len()];
-    let mut next_tick: Vec<f64> = vec![f64::INFINITY; flows.len()];
-    let mut rngs: Vec<StdRng> = flows
-        .iter()
-        .map(|f| StdRng::seed_from_u64(flow_seed(cfg.seed, f)))
-        .collect();
-    let mut to_loss: Vec<f64> = rngs
-        .iter_mut()
-        .map(|rng| draw_loss_bytes(rng, cfg.loss, cfg.mss))
-        .collect();
-
-    let mut current = bw.clone();
-    let mut next_update = 0usize;
-    let mut t = 0.0f64;
-    let mut done = 0usize;
-
-    macro_rules! complete {
-        ($i:expr, $at:expr, $state:ident, $report:ident) => {{
-            let i = $i;
-            $state[i] = St::Done($at);
-            $report.flows[i].finish_s = $at;
-            done += 1;
-            if let Some(s) = chain_succ[i] {
-                let start = flows[s].release_s.max($at);
-                $report.flows[s].start_s = start;
-                $state[s] = St::Latency {
-                    ready: start + one_way * flows[s].latency_units as f64,
-                };
-            }
-        }};
     }
 
-    while done < flows.len() {
-        // Promote latency expiries, completing empty flows on the spot.
-        // A freshly active flow schedules its first window tick one RTT
-        // out.
-        loop {
-            let mut promoted = false;
-            for i in 0..flows.len() {
-                if let St::Latency { ready } = state[i] {
-                    if ready <= t {
-                        if remaining[i] <= eps[i] {
-                            complete!(i, ready.max(t), state, report);
-                        } else {
-                            state[i] = St::Active;
-                            if windowed {
-                                next_tick[i] = t + cfg.rtt_s;
-                            }
-                        }
-                        promoted = true;
-                    }
-                }
-            }
-            if !promoted {
-                break;
-            }
-        }
-        if done == flows.len() {
-            break;
-        }
+    /// Draws flow `i`'s next loss distance after a loss.
+    pub(crate) fn redraw(&mut self, i: usize) {
+        self.to_loss[i] = draw_loss_bytes(&mut self.rngs[i], self.p, self.mss);
+    }
+}
 
-        // Per-pair aggregates over the active set: fluid load plus (at
-        // positive RTT) the summed windows that determine queueing.
-        let mut pairs: Vec<PairState> = Vec::new();
-        for (i, f) in flows.iter().enumerate() {
-            if matches!(state[i], St::Active) {
-                let key = (f.src.min(f.dst), f.src.max(f.dst));
-                match pairs.iter_mut().find(|p| (p.a, p.b) == key) {
-                    Some(p) => {
-                        p.load += 1;
-                        p.wnd += cwnd[i];
-                    }
-                    None => pairs.push(PairState {
-                        a: key.0,
-                        b: key.1,
-                        load: 1,
-                        wnd: cwnd[i],
-                    }),
-                }
-            }
-        }
-        let pair_of = |i: usize| -> PairState {
-            let f = &flows[i];
-            let key = (f.src.min(f.dst), f.src.max(f.dst));
-            *pairs
-                .iter()
-                .find(|p| (p.a, p.b) == key)
-                .expect("active flow has a pair entry")
-        };
-        // Send rate of active flow `i` over this interval: the fluid
-        // fair share, additionally clamped to cwnd / rtt_eff when
-        // window dynamics are on.
-        let rate = |i: usize| -> f64 {
-            let f = &flows[i];
-            let cap = current.get(f.src, f.dst) * 1e6; // MB/s → bytes/s
-            if cap <= 0.0 {
-                return 0.0;
-            }
-            let p = pair_of(i);
-            let share = cap / f64::from(p.load);
-            if !windowed {
-                return share;
-            }
-            let bdp = cfg.rtt_s * cap;
-            let queue_bytes = (p.wnd - bdp).clamp(0.0, queue_cap);
-            let rtt_eff = cfg.rtt_s + queue_bytes / cap;
-            share.min(cwnd[i] / rtt_eff)
-        };
-        // Whether flow `i`'s pair overran BDP + queue this interval —
-        // its next tick registers a congestion drop instead of growing.
-        let congested = |i: usize| -> bool {
-            let f = &flows[i];
-            let cap = current.get(f.src, f.dst) * 1e6;
-            if cap <= 0.0 {
-                return false;
-            }
-            pair_of(i).wnd - cfg.rtt_s * cap > queue_cap + loss_eps
-        };
+/// AIMD window state of a run; exists only at `rtt_s > 0`.
+pub(crate) struct Windows {
+    rtt_s: f64,
+    mss: f64,
+    queue_cap: f64,
+    /// Congestion window per flow (bytes).
+    pub(crate) cwnd: Vec<f64>,
+    /// Next per-RTT tick per flow, set when the flow turns active.
+    pub(crate) next_tick: Vec<f64>,
+    /// Summed windows of the active flows on each link pair, refilled
+    /// by the engine every event.
+    pub(crate) pair_wnd: Vec<f64>,
+    /// Whether each flow's pair overran `BDP + queue` over the current
+    /// interval — its next tick registers a congestion drop instead of
+    /// growing.
+    congested: Vec<bool>,
+}
 
-        // Telemetry: the deepest receiver queue this interval, by the
-        // same overrun formula `rate` prices (windows past BDP back up
-        // in the queue, clamped at its capacity).
-        if windowed {
-            for (i, f) in flows.iter().enumerate() {
-                if matches!(state[i], St::Active) {
-                    let cap = current.get(f.src, f.dst) * 1e6;
-                    if cap > 0.0 {
-                        let q = (pair_of(i).wnd - cfg.rtt_s * cap).clamp(0.0, queue_cap);
-                        if q > report.peak_queue_bytes {
-                            report.peak_queue_bytes = q;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Next event: completion, random-loss crossing, window tick,
-        // latency expiry, or rate update. Starved flows (dead link)
-        // schedule nothing — only a rate update can rescue them.
-        let mut t_next = f64::INFINITY;
-        for i in 0..flows.len() {
-            match state[i] {
-                St::Active => {
-                    let r = rate(i);
-                    if r > 0.0 {
-                        t_next = t_next.min(t + remaining[i] / r);
-                        if to_loss[i].is_finite() {
-                            t_next = t_next.min(t + to_loss[i] / r);
-                        }
-                        if windowed {
-                            t_next = t_next.min(next_tick[i]);
-                        }
-                    }
-                }
-                St::Latency { ready } => t_next = t_next.min(ready),
-                _ => {}
-            }
-        }
-        if next_update < updates.len() {
-            t_next = t_next.min(updates[next_update].at_s.max(t));
-        }
-        if !t_next.is_finite() {
-            report.makespan_s = f64::INFINITY;
-            return report;
-        }
-
-        // Advance bytes (delivered and toward the next loss) and busy
-        // clocks over [t, t_next].
-        let dt = (t_next - t).max(0.0);
-        if dt > 0.0 {
-            let mut engaged = vec![false; n];
-            for i in 0..flows.len() {
-                if matches!(state[i], St::Active) {
-                    let r = rate(i);
-                    if r > 0.0 {
-                        remaining[i] = (remaining[i] - r * dt).max(0.0);
-                        if to_loss[i].is_finite() {
-                            to_loss[i] = (to_loss[i] - r * dt).max(0.0);
-                        }
-                        engaged[flows[i].src] = true;
-                        engaged[flows[i].dst] = true;
-                    }
-                }
-            }
-            for (b, e) in report.busy_s.iter_mut().zip(&engaged) {
-                if *e {
-                    *b += dt;
-                }
-            }
-        }
-        let stale_rate: Vec<f64> = (0..flows.len())
-            .map(|i| {
-                if matches!(state[i], St::Active) {
-                    rate(i)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let stale_congested: Vec<bool> = (0..flows.len())
-            .map(|i| matches!(state[i], St::Active) && congested(i))
-            .collect();
-        t = t_next;
-
-        // Apply rate updates that have come due.
-        while next_update < updates.len() && updates[next_update].at_s <= t {
-            current = updates[next_update].bw.clone();
-            next_update += 1;
-        }
-
-        // Handle the events that landed at `t`, in flow-index order.
-        // Completion wins over a coincident loss (the last byte already
-        // arrived); loss and tick may both fire.
-        for i in 0..flows.len() {
-            if !matches!(state[i], St::Active) {
-                continue;
-            }
-            if remaining[i] <= eps[i] {
-                complete!(i, t, state, report);
-                continue;
-            }
-            if to_loss[i] <= loss_eps {
-                remaining[i] += cfg.mss;
-                report.retransmit_segments += 1;
-                to_loss[i] = draw_loss_bytes(&mut rngs[i], cfg.loss, cfg.mss);
-                if windowed {
-                    cwnd[i] = (cwnd[i] / 2.0).max(cfg.mss);
-                }
-            }
-            if windowed && next_tick[i] <= t && stale_rate[i] > 0.0 {
-                if stale_congested[i] {
-                    // Queue overflow: one segment retransmitted, window
-                    // halved. The retransmission is capped at half the
-                    // bytes the flow actually sent this RTT — a flow
-                    // draining less than a segment per RTT cannot lose
-                    // a full segment per RTT, and an uncapped charge
-                    // would grow its debt faster than it drains on a
-                    // heavily multiplexed slow link (a livelock: the
-                    // flow never finishes and the event loop never
-                    // runs out of ticks).
-                    let sent = stale_rate[i] * cfg.rtt_s;
-                    remaining[i] += cfg.mss.min(0.5 * sent);
-                    report.retransmit_segments += 1;
-                    cwnd[i] = (cwnd[i] / 2.0).max(cfg.mss);
-                } else {
-                    cwnd[i] += cfg.mss;
-                }
-                next_tick[i] = t + cfg.rtt_s;
-            }
-        }
+impl Windows {
+    pub(crate) fn new(cfg: &PacketConfig, flows: usize, pairs: usize) -> Option<Self> {
+        (cfg.rtt_s > 0.0).then(|| Windows {
+            rtt_s: cfg.rtt_s,
+            mss: cfg.mss,
+            queue_cap: f64::from(cfg.queue_segments) * cfg.mss,
+            cwnd: vec![f64::from(INIT_WINDOW_SEGMENTS) * cfg.mss; flows],
+            next_tick: vec![f64::INFINITY; flows],
+            pair_wnd: vec![0.0; pairs],
+            congested: vec![false; flows],
+        })
     }
 
-    report.makespan_s = report
-        .flows
-        .iter()
-        .map(|f| f.finish_s)
-        .fold(0.0f64, f64::max);
-    report
+    /// Clamps flow `i`'s fair `share` of a pair with capacity `cap > 0`
+    /// to `cwnd / rtt_eff` and notes whether the pair is congested.
+    /// Returns the send rate and the pair's standing queue (windows
+    /// past the BDP back up in the queue, clamped at its capacity).
+    pub(crate) fn clamp(&mut self, i: usize, pair: usize, cap: f64, share: f64) -> (f64, f64) {
+        let overrun = self.pair_wnd[pair] - self.rtt_s * cap;
+        let queue_bytes = overrun.clamp(0.0, self.queue_cap);
+        self.congested[i] = overrun > self.queue_cap + COMPLETION_EPS * self.mss;
+        let rtt_eff = self.rtt_s + queue_bytes / cap;
+        (share.min(self.cwnd[i] / rtt_eff), queue_bytes)
+    }
+
+    /// Multiplicative decrease, floored at one segment.
+    pub(crate) fn halve(&mut self, i: usize) {
+        self.cwnd[i] = (self.cwnd[i] / 2.0).max(self.mss);
+    }
+
+    /// One RTT of flow `i` sending at `rate` has elapsed: additive
+    /// increase, or — if its pair's queue overflowed — a halved window
+    /// and `Some(bytes to retransmit)`.
+    ///
+    /// The retransmission is one segment capped at half the bytes the
+    /// flow actually sent this RTT — a flow draining less than a
+    /// segment per RTT cannot lose a full segment per RTT, and an
+    /// uncapped charge would grow its debt faster than it drains on a
+    /// heavily multiplexed slow link (a livelock: the flow never
+    /// finishes and the event loop never runs out of ticks).
+    pub(crate) fn tick(&mut self, i: usize, rate: f64) -> Option<f64> {
+        if self.congested[i] {
+            self.halve(i);
+            let sent = rate * self.rtt_s;
+            Some(self.mss.min(0.5 * sent))
+        } else {
+            self.cwnd[i] += self.mss;
+            None
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flows::{simulate, SimConfig};
+    use crate::flows::{simulate, RateUpdate, SimReport};
+    use crate::BandwidthMatrix;
 
     fn approx(a: f64, b: f64) {
         assert!(
@@ -563,8 +274,19 @@ mod tests {
         );
     }
 
+    /// Prices `flows` as [`crate::TimeModel::Packet`] does: `rtt_s / 2`
+    /// of one-way latency plus the config's link dynamics.
+    fn simulate_packets(
+        bw: &BandwidthMatrix,
+        cfg: &PacketConfig,
+        flows: &[FlowSpec],
+        updates: &[RateUpdate],
+    ) -> SimReport {
+        simulate(bw, cfg.rtt_s / 2.0, cfg, flows, updates)
+    }
+
     fn fluid(bw: &BandwidthMatrix, flows: &[FlowSpec]) -> SimReport {
-        simulate(bw, &SimConfig::default(), flows, &[])
+        simulate_packets(bw, &PacketConfig::ideal(), flows, &[])
     }
 
     #[test]
@@ -577,9 +299,15 @@ mod tests {
             FlowSpec::new(3, 2, 2e6).on_chain(1),
             FlowSpec::new(2, 0, 1e6).on_chain(1),
         ];
+        // With windows and loss off the segment size, queue depth and
+        // loss seed have nothing to act on.
+        let inert = PacketConfig::ideal()
+            .with_mss(9000.0)
+            .with_queue(0)
+            .with_seed(7);
         let f = fluid(&bw, &flows);
-        let p = simulate_packets(&bw, &PacketConfig::ideal(), &flows, &[]);
-        assert_eq!(f, p, "ideal packet run must equal the fluid run");
+        let p = simulate_packets(&bw, &inert, &flows, &[]);
+        assert_eq!(f, p, "zero RTT and zero loss must be the fluid run");
     }
 
     #[test]
@@ -710,7 +438,6 @@ mod tests {
     fn loss_distance_draw_is_geometric_shaped() {
         let mss = 1500.0;
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(draw_loss_bytes(&mut rng, 0.0, mss).is_infinite());
         let mut total = 0.0;
         let n = 20_000;
         for _ in 0..n {

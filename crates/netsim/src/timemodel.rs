@@ -12,9 +12,9 @@
 //! * [`ps_round_time`] — parameter-server rounds (FedAvg, S-FedAvg): the
 //!   slowest chosen client–server link gates the round; the server is the
 //!   best-connected node per the paper;
-//! * [`allreduce_ring_time`] / [`allgather_time`] — ring all-reduce
-//!   (PSGD) and sparse allgather (TopK-PSGD); the `*_over` variants take
-//!   an explicit active-rank list for churned fleets.
+//! * [`allreduce_ring_time_over`] / [`allgather_time_over`] — ring
+//!   all-reduce (PSGD) and sparse allgather (TopK-PSGD) over an explicit
+//!   active-rank list (churn shrinks the live fleet).
 
 use crate::BandwidthMatrix;
 
@@ -71,20 +71,14 @@ pub fn ps_round_time(bw: &BandwidthMatrix, server: usize, clients: &[(usize, u64
     worst
 }
 
-/// Duration of a ring all-reduce moving `bytes_per_worker` through each
-/// worker (the PSGD pattern; `bytes_per_worker ≈ 2N` for a dense model).
+/// Duration of a ring all-reduce over `ranks` (in order) moving
+/// `bytes_per_worker` through each worker (the PSGD pattern;
+/// `bytes_per_worker ≈ 2N` for a dense model).
 ///
-/// A ring all-reduce performs `2(n−1)` steps, each transferring a
-/// `1/n`-chunk over every ring link concurrently, so the wall time is
+/// A ring all-reduce performs `2(m−1)` steps, each transferring a
+/// `1/m`-chunk over every ring link concurrently, so the wall time is
 /// `bytes_per_worker / min_link_bandwidth` — the slowest ring link gates
 /// every step. Returns seconds.
-pub fn allreduce_ring_time(bw: &BandwidthMatrix, bytes_per_worker: u64) -> f64 {
-    let all: Vec<usize> = (0..bw.len()).collect();
-    allreduce_ring_time_over(bw, &all, bytes_per_worker)
-}
-
-/// [`allreduce_ring_time`] restricted to a ring over `ranks` (in order) —
-/// the PSGD pattern when churn has shrunk the live fleet.
 pub fn allreduce_ring_time_over(
     bw: &BandwidthMatrix,
     ranks: &[usize],
@@ -104,16 +98,10 @@ pub fn allreduce_ring_time_over(
     bytes_per_worker as f64 / (min_bw * 1e6)
 }
 
-/// Duration of a sparse allgather where every worker sends `bytes` to all
-/// `n−1` others (the TopK-PSGD pattern). Modeled as sequential pairwise
-/// sends over each worker's slowest outgoing link used.
-pub fn allgather_time(bw: &BandwidthMatrix, bytes: u64) -> f64 {
-    let all: Vec<usize> = (0..bw.len()).collect();
-    allgather_time_over(bw, &all, bytes)
-}
-
-/// [`allgather_time`] restricted to the mesh over `ranks` — the
-/// TopK-PSGD pattern when churn has shrunk the live fleet.
+/// Duration of a sparse allgather over the mesh of `ranks` where every
+/// worker sends `bytes` to all `m−1` others (the TopK-PSGD pattern).
+/// Modeled as sequential pairwise sends over each worker's slowest
+/// outgoing link used.
 pub fn allgather_time_over(bw: &BandwidthMatrix, ranks: &[usize], bytes: u64) -> f64 {
     let m = ranks.len();
     if m < 2 {
@@ -219,21 +207,21 @@ mod tests {
     fn allreduce_uses_min_ring_link() {
         let mut bw = BandwidthMatrix::constant(4, 10.0);
         bw.set(1, 2, 2.0); // ring link 1-2 is slow
-        let t = allreduce_ring_time(&bw, 8_000_000);
+        let t = allreduce_ring_time_over(&bw, &[0, 1, 2, 3], 8_000_000);
         assert!((t - 4.0).abs() < 1e-9, "t = {t}"); // 8 MB / 2 MB/s
     }
 
     #[test]
     fn allgather_scales_with_n() {
         let bw = BandwidthMatrix::constant(5, 1.0);
-        let t = allgather_time(&bw, 1_000_000);
+        let t = allgather_time_over(&bw, &[0, 1, 2, 3, 4], 1_000_000);
         assert!((t - 4.0).abs() < 1e-9); // 4 peers × 1 MB / 1 MB/s
     }
 
     #[test]
     fn degenerate_sizes() {
         let bw = BandwidthMatrix::constant(1, 5.0);
-        assert_eq!(allreduce_ring_time(&bw, 100), 0.0);
-        assert_eq!(allgather_time(&bw, 100), 0.0);
+        assert_eq!(allreduce_ring_time_over(&bw, &[0], 100), 0.0);
+        assert_eq!(allgather_time_over(&bw, &[0], 100), 0.0);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! * **Zero-latency equivalence** — for the peer-to-peer,
 //!   parameter-server and ring all-reduce (m ≥ 3) patterns,
-//!   `EventDriven { latency: 0, contention: true }` reproduces the
+//!   `EventDriven { latency: 0 }` reproduces the
 //!   analytic transfer time exactly (modulo float rounding). Two-worker
 //!   collectives are the documented exception: both directions share
 //!   one duplex pair, pricing exactly 2× analytic.
@@ -25,8 +25,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saps_netsim::flows::{simulate, FlowSpec, RateUpdate, SimConfig};
-use saps_netsim::{BandwidthMatrix, TimeModel};
+use saps_netsim::flows::{simulate, FlowSpec, RateUpdate};
+use saps_netsim::{BandwidthMatrix, PacketConfig, TimeModel};
 
 /// Relative-tolerance comparison for simulated vs closed-form times.
 fn close(a: f64, b: f64) -> bool {
@@ -283,11 +283,9 @@ proptest! {
             .into_iter()
             .map(|(s, d, b)| FlowSpec::new(s, d, b as f64))
             .collect();
-        let cfg = SimConfig::default();
-        let plain = simulate(&bw, &cfg, &flows, &[]);
-        let updated = simulate(
-            &bw,
-            &cfg,
+        let fluid = PacketConfig::ideal();
+        let plain = simulate(&bw, 0.0, &fluid, &flows, &[]);
+        let updated = simulate(&bw, 0.0, &fluid,
             &flows,
             &[RateUpdate { at_s: at, bw: bw.clone() }],
         );
@@ -313,12 +311,10 @@ proptest! {
             m
         };
         let flow = [FlowSpec::new(0, 1, 10_000_000.0)];
-        let cfg = SimConfig::default();
-        let fast_t = simulate(&bw, &cfg, &flow, &[]).makespan_s;
-        let slow_t = simulate(&slow, &cfg, &flow, &[]).makespan_s;
-        let mid = simulate(
-            &bw,
-            &cfg,
+        let fluid = PacketConfig::ideal();
+        let fast_t = simulate(&bw, 0.0, &fluid, &flow, &[]).makespan_s;
+        let slow_t = simulate(&slow, 0.0, &fluid, &flow, &[]).makespan_s;
+        let mid = simulate(&bw, 0.0, &fluid,
             &flow,
             &[RateUpdate { at_s: fast_t * cut, bw: slow.clone() }],
         )

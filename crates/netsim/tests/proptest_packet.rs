@@ -1,11 +1,12 @@
-//! Property tests pinning the packet-level model against the fluid
-//! discrete-event simulator.
+//! Property tests pinning how `TimeModel::Packet` and
+//! `TimeModel::EventDriven` map onto the one flow engine.
 //!
 //! The contract (see `docs/NETWORK_SIM.md`):
 //!
-//! * **Ideal degeneration** — at zero loss, zero queueing and zero RTT
-//!   the packet model agrees with the fluid DES on all four traffic
-//!   patterns (p2p, parameter-server, ring all-reduce, allgather).
+//! * **Windows and loss off** — at zero loss and zero RTT (whatever the
+//!   queue depth) the packet model *is* the zero-latency event-driven
+//!   model, bit for bit, on all four traffic patterns (p2p,
+//!   parameter-server, ring all-reduce, allgather).
 //! * **Loss only adds time** — turning on random loss (any seed) never
 //!   shortens a round.
 //! * **RTT only adds time** — window ramps, queueing delay and
@@ -90,10 +91,7 @@ proptest! {
         let transfers = random_transfers(n, pairs, seed);
         let f = fluid().price_p2p(&bw, &transfers, &[]);
         let p = ideal().price_p2p(&bw, &transfers, &[]);
-        prop_assert!(
-            close(p.transfer_s, f.transfer_s),
-            "packet {} != fluid {}", p.transfer_s, f.transfer_s
-        );
+        prop_assert!(p == f, "packet {p:?} != fluid {f:?}");
     }
 
     #[test]
@@ -116,10 +114,7 @@ proptest! {
         }
         let f = fluid().price_ps(&bw, server, &clients, &[]);
         let p = ideal().price_ps(&bw, server, &clients, &[]);
-        prop_assert!(
-            close(p.transfer_s, f.transfer_s),
-            "packet {} != fluid {}", p.transfer_s, f.transfer_s
-        );
+        prop_assert!(p == f, "packet {p:?} != fluid {f:?}");
     }
 
     #[test]
@@ -132,10 +127,7 @@ proptest! {
         let ranks: Vec<usize> = (0..n).collect();
         let f = fluid().price_allreduce(&bw, &ranks, bytes, &[]);
         let p = ideal().price_allreduce(&bw, &ranks, bytes, &[]);
-        prop_assert!(
-            close(p.transfer_s, f.transfer_s),
-            "packet {} != fluid {}", p.transfer_s, f.transfer_s
-        );
+        prop_assert!(p == f, "packet {p:?} != fluid {f:?}");
     }
 
     #[test]
@@ -148,10 +140,7 @@ proptest! {
         let ranks: Vec<usize> = (0..n).collect();
         let f = fluid().price_allgather(&bw, &ranks, bytes, &[]);
         let p = ideal().price_allgather(&bw, &ranks, bytes, &[]);
-        prop_assert!(
-            close(p.transfer_s, f.transfer_s),
-            "packet {} != fluid {}", p.transfer_s, f.transfer_s
-        );
+        prop_assert!(p == f, "packet {p:?} != fluid {f:?}");
     }
 
     #[test]

@@ -70,13 +70,7 @@ fn lineup() -> Vec<(&'static str, AlgorithmSpec)> {
 fn time_models() -> Vec<(&'static str, TimeModel)> {
     vec![
         ("analytic", TimeModel::Analytic),
-        (
-            "des",
-            TimeModel::EventDriven {
-                latency: 0.01,
-                contention: true,
-            },
-        ),
+        ("des", TimeModel::event_driven(0.01)),
     ]
 }
 
@@ -207,13 +201,7 @@ fn golden_traces_are_stable() {
 fn golden_pairs_differ_only_in_time() {
     for (algo, spec) in lineup() {
         let analytic = render_trace(spec, TimeModel::Analytic);
-        let des = render_trace(
-            spec,
-            TimeModel::EventDriven {
-                latency: 0.01,
-                contention: true,
-            },
-        );
+        let des = render_trace(spec, TimeModel::event_driven(0.01));
         let a = parse(&analytic, "analytic");
         let d = parse(&des, "des");
         assert_eq!(a.len(), d.len(), "{algo}");

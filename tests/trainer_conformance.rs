@@ -276,10 +276,7 @@ fn time_model_never_changes_training_state_for_any_algorithm() {
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.label()))
         };
         let analytic = run(TimeModel::Analytic);
-        let des = run(TimeModel::EventDriven {
-            latency: 0.01,
-            contention: true,
-        });
+        let des = run(TimeModel::event_driven(0.01));
         assert_eq!(analytic.points.len(), des.points.len(), "{}", spec.label());
         let mut any_time_diff = false;
         for (a, d) in analytic.points.iter().zip(&des.points) {
