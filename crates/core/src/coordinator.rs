@@ -13,6 +13,21 @@ use saps_graph::{Graph, Matching};
 use saps_netsim::BandwidthMatrix;
 use saps_tensor::rng::{derive_seed, streams};
 
+/// `GetNewConnectedGraph` (Algorithm 1 lines 9-12): the threshold in
+/// effect over `bw` — `configured`, else the largest that keeps `B*`
+/// connected — with the thresholded graph `B*` and the graph of every
+/// live link.
+fn connected_graphs(bw: &BandwidthMatrix, configured: Option<f64>) -> (f64, Graph, Graph) {
+    let n = bw.len();
+    let thres = configured.unwrap_or_else(|| bw.max_connecting_threshold());
+    // A disconnected (e.g. partitioned) matrix auto-selects thres 0;
+    // dead links must still never enter B*, so the filter stays
+    // strictly positive and matching is confined to live islands.
+    let bstar = Graph::from_adjacency(n, &bw.threshold(thres.max(f64::MIN_POSITIVE)));
+    let full = Graph::from_threshold(n, bw.as_slice(), f64::MIN_POSITIVE);
+    (thres, bstar, full)
+}
+
 /// What the coordinator broadcasts at the start of a round
 /// (Algorithm 1 line 6: `NotifyWorkerToTrain(W_t, t, s)`).
 #[derive(Debug, Clone)]
@@ -25,12 +40,21 @@ pub struct RoundPlan {
     pub matching: Matching,
 }
 
-/// The SAPS-PSGD coordinator (Algorithm 1 state).
+/// The SAPS-PSGD coordinator (Algorithm 1 state). One coordinator
+/// lives for the whole run: the round counter `t`, the RNG stream that
+/// draws matchings and mask seeds, and the RC stamps of surviving pairs
+/// all carry across [`Coordinator::rebuild`].
 #[derive(Debug, Clone)]
 pub struct Coordinator {
     generator: GossipGenerator,
     rng: StdRng,
+    /// The RNG as the round begun last found it, until that round is
+    /// aborted ([`Coordinator::abort_round`]) or the next one begins.
+    rng_before: Option<StdRng>,
     round: u64,
+    /// The configured `B_thres`; `None` auto-selects per matrix.
+    configured_bthres: Option<f64>,
+    /// The threshold in effect over the current matrix.
     bthres: f64,
 }
 
@@ -42,17 +66,13 @@ impl Coordinator {
     /// threshold that keeps `B*` connected. `tthres` is the RC window of
     /// Algorithm 3.
     pub fn new(bw: &BandwidthMatrix, bthres: Option<f64>, tthres: u32, seed: u64) -> Self {
-        let n = bw.len();
-        let thres = bthres.unwrap_or_else(|| bw.max_connecting_threshold());
-        // A disconnected (e.g. partitioned) matrix auto-selects thres 0;
-        // dead links must still never enter B*, so the filter stays
-        // strictly positive and matching is confined to live islands.
-        let bstar = Graph::from_adjacency(n, &bw.threshold(thres.max(f64::MIN_POSITIVE)));
-        let full = Graph::from_threshold(n, bw.as_slice(), f64::MIN_POSITIVE);
+        let (thres, bstar, full) = connected_graphs(bw, bthres);
         Coordinator {
             generator: GossipGenerator::new(bstar, full, tthres),
             rng: StdRng::seed_from_u64(derive_seed(seed, 0, streams::MATCHING)),
+            rng_before: None,
             round: 0,
+            configured_bthres: bthres,
             bthres: thres,
         }
     }
@@ -87,6 +107,7 @@ impl Coordinator {
     /// handed to each [`crate::Worker`] directly.
     pub fn begin_round(&mut self) -> RoundPlan {
         let t = self.round;
+        self.rng_before = Some(self.rng.clone());
         let matching = self.generator.next_matching(t, &mut self.rng);
         let mask_seed = self.rng.gen::<u64>();
         self.round += 1;
@@ -97,18 +118,34 @@ impl Coordinator {
         }
     }
 
-    /// Rebuilds the peer-selection state after membership or bandwidth
-    /// changes (worker churn, measured-bandwidth refresh). `keep[i]` maps
-    /// new worker index `i` to its previous index, `None` for joiners.
+    /// Takes back the round begun last — its counter tick, its RNG draws
+    /// and its RC stamps — as if [`Coordinator::begin_round`] had not
+    /// been called: a round aborted by a fault never communicated, and
+    /// is replanned from the state of a fleet that never attempted it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless it directly follows the `begin_round` it aborts.
+    pub fn abort_round(&mut self) {
+        self.rng = self
+            .rng_before
+            .take()
+            .expect("abort_round must directly follow begin_round");
+        self.generator.undo_last_matching();
+        self.round -= 1;
+    }
+
+    /// Rebuilds peer selection in place after membership or bandwidth
+    /// changes (worker churn, measured-bandwidth refresh): the threshold
+    /// is chosen over `bw` by the same rule as at construction, and the
+    /// round counter, the RNG stream and the RC stamps of surviving
+    /// pairs carry on. `keep[i]` maps new worker index `i` to its
+    /// previous index, `None` for joiners.
     pub fn rebuild(&mut self, bw: &BandwidthMatrix, keep: &[Option<usize>]) {
-        let n = bw.len();
-        assert_eq!(n, keep.len());
-        let thres = bw.max_connecting_threshold().min(self.bthres);
-        // As in `new`: never admit dead links to B*, even when a
-        // partitioned matrix drives the auto-selected threshold to 0.
-        let bstar = Graph::from_adjacency(n, &bw.threshold(thres.max(f64::MIN_POSITIVE)));
-        let full = Graph::from_threshold(n, bw.as_slice(), f64::MIN_POSITIVE);
+        assert_eq!(bw.len(), keep.len());
+        let (thres, bstar, full) = connected_graphs(bw, self.configured_bthres);
         self.generator.rebuild(bstar, full, keep);
+        self.rng_before = None;
         self.bthres = thres;
     }
 }
@@ -129,10 +166,6 @@ pub struct SapsControl {
     /// Bandwidth snapshot used for peer selection (refreshed on demand,
     /// mirroring the paper's "regularly reported" measurements).
     bw_snapshot: BandwidthMatrix,
-    bthres: Option<f64>,
-    tthres: u32,
-    seed: u64,
-    shard_size: Option<usize>,
 }
 
 impl SapsControl {
@@ -143,17 +176,12 @@ impl SapsControl {
             coordinator: Coordinator::new(bw, bthres, tthres, seed),
             active: vec![true; bw.len()],
             bw_snapshot: bw.clone(),
-            bthres,
-            tthres,
-            seed,
-            shard_size: None,
         }
     }
 
     /// Sets the round-planning shard ceiling (see
     /// [`Coordinator::set_shard_size`]); survives churn rebuilds.
     pub fn set_shard_size(&mut self, shard_size: Option<usize>) {
-        self.shard_size = shard_size;
         self.coordinator.set_shard_size(shard_size);
     }
 
@@ -178,8 +206,9 @@ impl SapsControl {
     }
 
     /// Marks a worker active/inactive (join/leave churn). Peer selection
-    /// is rebuilt over the active subset; inactive workers keep their
-    /// model and re-join where they left off.
+    /// is rebuilt in place over the active subset — the round counter,
+    /// the seed stream and surviving pairs' RC stamps carry on; inactive
+    /// workers keep their model and re-join where they left off.
     ///
     /// Fails if `rank` is out of range or deactivation would leave fewer
     /// than two active workers.
@@ -199,8 +228,9 @@ impl SapsControl {
                 "cannot deactivate: at least two workers must stay active",
             ));
         }
+        let before = self.active_ranks();
         self.active[rank] = active;
-        self.rebuild();
+        self.rebuild(&before);
         Ok(())
     }
 
@@ -212,11 +242,11 @@ impl SapsControl {
     }
 
     /// Updates the bandwidth snapshot (the paper's periodically reported
-    /// speed measurements) and rebuilds peer selection.
+    /// speed measurements) and rebuilds peer selection in place.
     pub fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
         assert_eq!(bw.len(), self.active.len());
         self.bw_snapshot = bw.clone();
-        self.rebuild();
+        self.rebuild(&self.active_ranks());
     }
 
     /// Runs Algorithm 1's per-round step over the active subset: the
@@ -224,6 +254,13 @@ impl SapsControl {
     /// (translate with [`SapsControl::global_pairs`]).
     pub fn begin_round(&mut self) -> RoundPlan {
         self.coordinator.begin_round()
+    }
+
+    /// Takes back the round begun last (see
+    /// [`Coordinator::abort_round`]): the byzantine recovery's rollback
+    /// of the coordinator, next to the workers' own.
+    pub fn abort_round(&mut self) {
+        self.coordinator.abort_round();
     }
 
     /// Rounds started so far (checkpoint exports stamp this counter).
@@ -242,7 +279,9 @@ impl SapsControl {
             .collect()
     }
 
-    fn rebuild(&mut self) {
+    /// Re-plans the coordinator over the current active subset and
+    /// snapshot; `before` lists the ranks it indexed until now.
+    fn rebuild(&mut self, before: &[usize]) {
         let ranks = self.active_ranks();
         let m = ranks.len();
         // Submatrix of the snapshot over the active ranks.
@@ -253,16 +292,8 @@ impl SapsControl {
             }
         }
         let sub = BandwidthMatrix::from_raw(m, &raw);
-        // The coordinator indexes the active subset; rebuilding from
-        // scratch with fresh timestamps is the simple, always-correct
-        // choice (stale timestamps only delay bridging).
-        self.coordinator = Coordinator::new(
-            &sub,
-            self.bthres,
-            self.tthres,
-            derive_seed(self.seed, ranks.len() as u64, streams::CHURN),
-        );
-        self.coordinator.set_shard_size(self.shard_size);
+        let keep: Vec<Option<usize>> = ranks.iter().map(|r| before.binary_search(r).ok()).collect();
+        self.coordinator.rebuild(&sub, &keep);
     }
 }
 
@@ -320,5 +351,99 @@ mod tests {
         assert_eq!(c.worker_count(), 4);
         let p = c.begin_round();
         assert!(p.matching.is_perfect());
+    }
+
+    #[test]
+    fn bandwidth_reports_do_not_replay_the_plan_sequence() {
+        // The paper's "regularly reported" bandwidths: a refresh with
+        // unchanged membership must not restart (t, s, W_t).
+        let bw = BandwidthMatrix::constant(8, 1.0);
+        let mut control = SapsControl::new(&bw, None, 5, 7);
+        let mut plans = Vec::new();
+        for r in 0..12 {
+            if r > 0 && r % 4 == 0 {
+                control.refresh_bandwidth(&bw);
+            }
+            plans.push(control.begin_round());
+        }
+        for w in plans.windows(2) {
+            assert!(w[0].round < w[1].round, "round stamps ran backwards");
+        }
+        let distinct: std::collections::HashSet<(u64, u64)> =
+            plans.iter().map(|p| (p.round, p.mask_seed)).collect();
+        assert_eq!(distinct.len(), 12);
+        assert_eq!(control.rounds_done(), 12);
+    }
+
+    #[test]
+    fn churn_back_to_the_same_fleet_size_draws_fresh_seeds() {
+        let bw = BandwidthMatrix::constant(8, 1.0);
+        let mut control = SapsControl::new(&bw, None, 5, 7);
+        control.set_active(3, false).unwrap();
+        let a = control.begin_round();
+        control.set_active(3, true).unwrap();
+        let b = control.begin_round();
+        control.set_active(5, false).unwrap();
+        let c = control.begin_round();
+        assert_ne!(a.mask_seed, b.mask_seed);
+        assert_ne!(b.mask_seed, c.mask_seed);
+        assert_ne!(
+            a.mask_seed, c.mask_seed,
+            "7 workers again replayed the seed"
+        );
+        assert_eq!((a.round, b.round, c.round), (0, 1, 2));
+    }
+
+    #[test]
+    fn rc_stamps_of_a_surviving_pair_survive_a_third_workers_leave() {
+        let bw = BandwidthMatrix::constant(6, 1.0);
+        let mut control = SapsControl::new(&bw, None, 5, 7);
+        // Past the first window, where an unstamped pair still reads as
+        // recently connected.
+        let plan = (0..6).map(|_| control.begin_round()).last().unwrap();
+        let (a, b) = control.global_pairs(&plan.matching)[0];
+        let leaver = (0..6).find(|r| *r != a && *r != b).unwrap();
+        control.set_active(leaver, false).unwrap();
+        let ranks = control.active_ranks();
+        let at = |r: usize| ranks.binary_search(&r).unwrap();
+        let rc = control.coordinator.generator.rc_graph(6);
+        assert!(rc.has_edge(at(a), at(b)), "stamp of ({a},{b}) lost");
+    }
+
+    #[test]
+    fn an_aborted_round_is_replanned_from_the_state_it_found() {
+        let bw = BandwidthMatrix::constant(6, 1.0);
+        let mut twice = Coordinator::new(&bw, None, 5, 9);
+        let mut once = twice.clone();
+        for _ in 0..7 {
+            twice.begin_round();
+            once.begin_round();
+        }
+        twice.begin_round();
+        twice.abort_round();
+        assert_eq!(twice.rounds_done(), 7);
+        // Counter, seed stream and RC stamps: the next windows agree.
+        for _ in 0..12 {
+            let (a, b) = (twice.begin_round(), once.begin_round());
+            assert_eq!(a.round, b.round);
+            assert_eq!(a.mask_seed, b.mask_seed);
+            assert_eq!(a.matching.pairs(), b.matching.pairs());
+        }
+    }
+
+    #[test]
+    fn rebuild_rechooses_the_threshold_over_the_new_matrix() {
+        // Auto-selected: follows the matrix up as well as down (no
+        // min-of-previous ratchet). Configured: stays put.
+        let slow = BandwidthMatrix::constant(4, 1.0);
+        let fast = BandwidthMatrix::constant(4, 3.0);
+        let mut auto = SapsControl::new(&slow, None, 5, 1);
+        auto.refresh_bandwidth(&fast);
+        assert_eq!(auto.bandwidth_threshold(), 3.0);
+        auto.refresh_bandwidth(&slow);
+        assert_eq!(auto.bandwidth_threshold(), 1.0);
+        let mut fixed = SapsControl::new(&slow, Some(0.5), 5, 1);
+        fixed.refresh_bandwidth(&fast);
+        assert_eq!(fixed.bandwidth_threshold(), 0.5);
     }
 }

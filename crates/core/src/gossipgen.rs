@@ -48,6 +48,9 @@ pub struct GossipGenerator {
     full: Graph,
     /// `R[i][j]` = last round at which `(i, j)` communicated, or -1.
     last_used: Vec<i64>,
+    /// `(i, j, previous R_ij)` for every stamp the last matching
+    /// overwrote — what [`GossipGenerator::undo_last_matching`] restores.
+    overwritten: Vec<(usize, usize, i64)>,
     /// The RC window.
     tthres: i64,
     /// Matching policy for healthy rounds.
@@ -80,6 +83,7 @@ impl GossipGenerator {
             bstar,
             full,
             last_used: vec![-1; n * n],
+            overwritten: Vec::new(),
             tthres: tthres as i64,
             strategy: PeerStrategy::ThresholdMatching,
             weights: Vec::new(),
@@ -185,26 +189,45 @@ impl GossipGenerator {
             match_.absorb(&second);
         }
         // Record round stamps.
+        self.overwritten.clear();
         for (i, j) in match_.pairs() {
+            self.overwritten
+                .push((i, j, self.last_used[i * self.n + j]));
             self.last_used[i * self.n + j] = t;
             self.last_used[j * self.n + i] = t;
         }
         match_
     }
 
+    /// Takes back the stamps of the last matching (a round that was
+    /// planned but aborted never communicated). A no-op right after a
+    /// [`GossipGenerator::rebuild`] or a previous undo.
+    pub fn undo_last_matching(&mut self) {
+        for (i, j, stamp) in self.overwritten.drain(..) {
+            self.last_used[i * self.n + j] = stamp;
+            self.last_used[j * self.n + i] = stamp;
+        }
+    }
+
     /// Resizes bookkeeping after a topology change (worker churn): keeps
-    /// timestamps for surviving pairs. `bstar` and `full` are the new
-    /// candidate graphs; `keep[i]` maps new index `i` to the old index
-    /// (or `None` for a fresh worker).
+    /// timestamps — and greedy weights, if any — for surviving pairs; a
+    /// fresh worker starts unstamped with weight 0. `bstar` and `full`
+    /// are the new candidate graphs; `keep[i]` maps new index `i` to the
+    /// old index (or `None` for a fresh worker).
     pub fn rebuild(&mut self, bstar: Graph, full: Graph, keep: &[Option<usize>]) {
         assert_eq!(bstar.len(), full.len());
         assert_eq!(bstar.len(), keep.len());
         let m = bstar.len();
+        let greedy = !self.weights.is_empty();
         let mut last = vec![-1i64; m * m];
+        let mut weights = vec![0.0f64; if greedy { m * m } else { 0 }];
         for (ni, oi) in keep.iter().enumerate() {
             for (nj, oj) in keep.iter().enumerate() {
                 if let (Some(oi), Some(oj)) = (oi, oj) {
                     last[ni * m + nj] = self.last_used[oi * self.n + oj];
+                    if greedy {
+                        weights[ni * m + nj] = self.weights[oi * self.n + oj];
+                    }
                 }
             }
         }
@@ -212,12 +235,8 @@ impl GossipGenerator {
         self.bstar = bstar;
         self.full = full;
         self.last_used = last;
-        // Greedy weights no longer index correctly after a rebuild; fall
-        // back to the paper's strategy until new weights are supplied.
-        if !self.weights.is_empty() {
-            self.weights.clear();
-            self.strategy = PeerStrategy::ThresholdMatching;
-        }
+        self.overwritten.clear();
+        self.weights = weights;
     }
 }
 
@@ -405,11 +424,31 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_resets_greedy_to_threshold() {
+    fn rebuild_reindexes_greedy_weights() {
+        // Old ranks 1 and 3 share the fast link; rank 0 leaves and a
+        // fresh worker joins at new index 3.
         let n = 4;
-        let mut g = GossipGenerator::with_greedy_weights(complete(n), vec![1.0; n * n], 4);
-        g.rebuild(complete(3), complete(3), &[Some(0), Some(1), Some(2)]);
-        assert_eq!(g.strategy(), PeerStrategy::ThresholdMatching);
+        let mut weights = vec![1.0; n * n];
+        for i in 0..n {
+            weights[i * n + i] = 0.0;
+        }
+        weights[n + 3] = 50.0;
+        weights[3 * n + 1] = 50.0;
+        let mut g = GossipGenerator::with_greedy_weights(complete(n), weights, 100);
+        g.rebuild(complete(4), complete(4), &[Some(1), Some(2), Some(3), None]);
+        assert_eq!(g.strategy(), PeerStrategy::GreedyWeight);
+        // Unstamped joiner: the RC graph is disconnected, so seed it
+        // connected to exercise the greedy pass on the re-indexed weights.
+        let mut rng = StdRng::seed_from_u64(3);
+        for t in 0..3 {
+            g.next_matching(t, &mut rng);
+        }
+        assert!(connectivity::is_connected(&g.rc_graph(3)));
+        // The fast link is now (0, 2); the joiner carries weight 0 and is
+        // paired with the other leftover over the PC graph.
+        let m = g.next_matching(3, &mut rng);
+        assert!(m.pairs().contains(&(0, 2)), "got {:?}", m.pairs());
+        assert!(m.pairs().contains(&(1, 3)), "got {:?}", m.pairs());
     }
 
     #[test]

@@ -619,8 +619,10 @@ impl<X: Exchange> SapsPsgd<X> {
             for (r, state) in &saved {
                 self.workers[*r].rollback(state);
             }
+            self.control.abort_round();
             self.x.discard_in_flight(self.workers.len())?;
-            // Expelled through the normal churn path, so the rebuilt
+            // The aborted plan is taken back and the offender expelled
+            // through the normal churn path, so the rebuilt
             // peer-selection state is the one a graceful leave produces.
             if let Err(why) = self.set_active(rank, false) {
                 return Err(self.x.refused(err, &why));

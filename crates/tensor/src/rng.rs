@@ -47,8 +47,6 @@ pub mod streams {
     pub const INIT: u64 = 5;
     /// Bandwidth matrix generation.
     pub const BANDWIDTH: u64 = 6;
-    /// Worker churn (join/leave) events.
-    pub const CHURN: u64 = 7;
     /// The per-round RNG handed to trainers through `RoundCtx`.
     pub const ROUND: u64 = 8;
 }

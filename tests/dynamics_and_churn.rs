@@ -66,6 +66,46 @@ fn training_survives_bandwidth_drift() {
 }
 
 #[test]
+fn checkpoint_round_stamps_are_monotone_under_bandwidth_reports() {
+    // Every refresh used to restart the coordinator at round 0, so the
+    // stamp on an exported checkpoint ran backwards every 5 rounds.
+    use saps::core::checkpoint;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    let (train, val) = dataset();
+    let spec = AlgorithmSpec::Saps {
+        compression: 100.0,
+        tthres: 6,
+        bthres: None,
+    };
+    let stamps = Rc::new(RefCell::new(Vec::new()));
+    let seen = Rc::clone(&stamps);
+    experiment(spec, &train, &val)
+        .bandwidth(BandwidthModel::Drifting {
+            baseline: BandwidthMatrix::constant(N, 2.0),
+            volatility: 0.3,
+            range: 8.0,
+            seed: 5,
+            refresh_every: 5,
+        })
+        .rounds(30)
+        .eval_every(30)
+        .after_round(move |trainer, _| {
+            let blob = trainer.export_checkpoint().unwrap();
+            let (_, round) = checkpoint::decode(blob.into()).unwrap();
+            seen.borrow_mut().push(round);
+        })
+        .run(&registry())
+        .unwrap();
+    let stamps = stamps.borrow();
+    assert_eq!(stamps.len(), 30);
+    for w in stamps.windows(2) {
+        assert!(w[0] < w[1], "checkpoint stamps ran backwards: {stamps:?}");
+    }
+    assert_eq!(*stamps.last().unwrap(), 30);
+}
+
+#[test]
 fn training_survives_link_failures() {
     let (train, val) = dataset();
     // Cut all of worker 7's links except one lifeline mid-run; SAPS must
