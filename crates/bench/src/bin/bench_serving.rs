@@ -30,9 +30,9 @@
 //!    wall-clock submit→completion.
 //! 2. **mixed-training** — a cluster-driven SAPS-PSGD run on the
 //!    14-city matrix exports its consensus every round; the fleet
-//!    hot-swaps it while serving the same request stream. The round's
-//!    *combined* training + serving transfers are priced on the shared
-//!    matrix under the fluid (analytic) and packet-level time models.
+//!    hot-swaps it while serving the same request stream. The serving
+//!    transfers that rode along are priced on the shared matrix under
+//!    the fluid (analytic) and packet-level time models.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -259,20 +259,14 @@ fn mixed_training(
     }
     let elapsed = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
 
-    // Price one combined round on the shared matrix: the training run's
-    // data-plane transfers plus the serving plane's, placed on the same
-    // 14 physical nodes.
+    // Price the serving plane's transfers on the shared matrix, placed
+    // on the same 14 physical nodes the training fleet runs on.
     let placement = ServePlacement { nodes: workers };
-    let mut combined: Vec<(usize, usize, u64)> = tap
-        .take_transfers()
-        .into_iter()
-        .map(|(src, dst, frame_bytes, _)| (src as usize, dst as usize, frame_bytes))
-        .collect();
-    combined.extend(placement.map(&fleet.take_transfers()));
-    let fluid = TimeModel::Analytic.price_p2p(&bw, &combined, &[]);
+    let served = placement.map(&fleet.take_transfers());
+    let fluid = TimeModel::Analytic.price_p2p(&bw, &served, &[]);
     let packet = TimeModel::packet(PacketConfig::ideal().with_rtt(0.005).with_seed(7)).price_p2p(
         &bw,
-        &combined,
+        &served,
         &[],
     );
 

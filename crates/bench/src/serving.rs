@@ -37,12 +37,12 @@ pub struct ServingEntry {
     /// Hot swaps accepted across the fleet (mixed scenario; 0 when no
     /// training runs alongside).
     pub swaps: u64,
-    /// Simulated seconds to move one round's *combined* training +
-    /// serving transfers over the shared bandwidth matrix, under the
-    /// fluid (analytic) model. 0 for serve-only runs, which are not
-    /// priced.
+    /// Simulated seconds to move the mixed run's serving transfers,
+    /// placed on the training nodes, over the shared bandwidth matrix
+    /// under the fluid (analytic) model. 0 for serve-only runs, which
+    /// are not priced.
     pub fluid_round_s: f64,
-    /// The same combined round priced by the packet-level simulator.
+    /// The same transfers priced by the packet-level simulator.
     pub packet_round_s: f64,
 }
 

@@ -480,9 +480,6 @@ impl<T: Transport> Exchange for Framed<T> {
         }
         self.round = round;
         self.early.clear();
-        // Keep the shared tap's transfer log bounded: billing reads the
-        // class counters, not the transfer rows.
-        self.tap.take_transfers();
     }
 
     fn send(&mut self, from: usize, to: Node, payload: Payload) -> Result<u64, ClusterError> {
@@ -582,7 +579,6 @@ impl<T: Transport> Exchange for Framed<T> {
             }
             self.resync_emitted = self.resync_log.len();
         }
-        self.tap.take_transfers();
         Ok(rep)
     }
 

@@ -90,4 +90,4 @@ pub use error::ClusterError;
 pub use faults::{FaultPlan, FaultScope, FaultyTransport, PlanHandle};
 pub use framed::{Framed, ResyncReport};
 pub use trainer::{cluster_registry, ClusterTrainer};
-pub use transport::{Addr, LoopbackTransport, Transport, WireStats, WireTap, WireTransfer};
+pub use transport::{Addr, LoopbackTransport, Transport, WireStats, WireTap};

@@ -252,7 +252,7 @@ impl Transport for TcpTransport {
                 slot.insert(OutConn { stream, pending })
             }
         };
-        self.tap.record(from, to, &frame);
+        self.tap.record(&frame);
         conn.pending.extend(frame.as_slice());
         conn.try_flush()
     }

@@ -81,25 +81,14 @@ pub struct WireStats {
     pub serve_bytes: u64,
 }
 
-/// One observed data-plane transfer: `(src, dst, frame_bytes,
-/// value_bytes)` of a worker-to-worker [`Message::MaskedPayload`].
-pub type WireTransfer = (u32, u32, u64, u64);
-
-#[derive(Debug, Default)]
-struct TapInner {
-    stats: WireStats,
-    transfers: Vec<WireTransfer>,
-}
-
 /// A shared tap every transport reports sent frames to: cumulative
-/// [`WireStats`] (what control-plane billing reads) plus a
-/// per-transfer data-plane log for pricing mixed load.
+/// [`WireStats`] (what control-plane billing reads).
 ///
 /// Cloning shares the underlying counters (it's an `Arc`), so a caller
 /// can keep one handle while the transport inside a running experiment
 /// holds another.
 #[derive(Debug, Clone, Default)]
-pub struct WireTap(Arc<Mutex<TapInner>>);
+pub struct WireTap(Arc<Mutex<WireStats>>);
 
 impl WireTap {
     /// A fresh tap with zeroed counters.
@@ -109,25 +98,19 @@ impl WireTap {
 
     /// A snapshot of the cumulative counters.
     pub fn snapshot(&self) -> WireStats {
-        self.0.lock().expect("wire tap lock").stats
-    }
-
-    /// Drains the data-plane transfer log accumulated since the last
-    /// call (the fabric drains it every round to keep it bounded).
-    pub fn take_transfers(&self) -> Vec<WireTransfer> {
-        std::mem::take(&mut self.0.lock().expect("wire tap lock").transfers)
+        *self.0.lock().expect("wire tap lock")
     }
 
     /// Meters one sent frame. Transports call this from
     /// [`Transport::send`]; the tag is peeked from the header, the body
     /// is never decoded.
-    pub fn record(&self, from: Addr, to: Addr, frame_bytes: &[u8]) {
-        let mut inner = self.0.lock().expect("wire tap lock");
-        inner.stats.frames += 1;
-        inner.stats.total_bytes += frame_bytes.len() as u64;
+    pub fn record(&self, frame_bytes: &[u8]) {
+        let mut stats = self.0.lock().expect("wire tap lock");
+        stats.frames += 1;
+        stats.total_bytes += frame_bytes.len() as u64;
         let Ok(Some(info)) = frame::peek(frame_bytes) else {
             // A frame we cannot classify still counts as control chatter.
-            inner.stats.control_bytes += frame_bytes.len() as u64;
+            stats.control_bytes += frame_bytes.len() as u64;
             return;
         };
         match Message::traffic_class_of(info.tag) {
@@ -137,18 +120,13 @@ impl WireTap {
                 // Masked/Dense/Sparse payloads all meter their values.
                 let values = Message::data_section_of(info.tag, info.body_len);
                 let envelope = frame_bytes.len() as u64 - values;
-                inner.stats.data_bytes += values;
-                inner.stats.control_bytes += envelope;
-                if let (Addr::Worker(src), Addr::Worker(dst)) = (from, to) {
-                    inner
-                        .transfers
-                        .push((src, dst, frame_bytes.len() as u64, values));
-                }
+                stats.data_bytes += values;
+                stats.control_bytes += envelope;
             }
-            Some(TrafficClass::ModelPlane) => inner.stats.model_bytes += frame_bytes.len() as u64,
-            Some(TrafficClass::ServePlane) => inner.stats.serve_bytes += frame_bytes.len() as u64,
+            Some(TrafficClass::ModelPlane) => stats.model_bytes += frame_bytes.len() as u64,
+            Some(TrafficClass::ServePlane) => stats.serve_bytes += frame_bytes.len() as u64,
             Some(TrafficClass::ControlPlane) | None => {
-                inner.stats.control_bytes += frame_bytes.len() as u64
+                stats.control_bytes += frame_bytes.len() as u64
             }
         }
     }
@@ -180,7 +158,7 @@ impl LoopbackTransport {
 
 impl Transport for LoopbackTransport {
     fn send(&mut self, from: Addr, to: Addr, frame: Bytes) -> Result<(), ClusterError> {
-        self.tap.record(from, to, &frame);
+        self.tap.record(&frame);
         self.queues.entry(to).or_default().push_back((from, frame));
         Ok(())
     }
@@ -249,11 +227,5 @@ mod tests {
             s.total_bytes,
             s.data_bytes + s.control_bytes + s.model_bytes + s.serve_bytes
         );
-        let transfers = tap.take_transfers();
-        assert_eq!(
-            transfers,
-            vec![(0, 1, frame::encoded_len(&payload) as u64, 20)]
-        );
-        assert!(tap.take_transfers().is_empty(), "log drains");
     }
 }
