@@ -217,27 +217,30 @@ impl GossipGenerator {
     pub fn rebuild(&mut self, bstar: Graph, full: Graph, keep: &[Option<usize>]) {
         assert_eq!(bstar.len(), full.len());
         assert_eq!(bstar.len(), keep.len());
-        let m = bstar.len();
-        let greedy = !self.weights.is_empty();
-        let mut last = vec![-1i64; m * m];
-        let mut weights = vec![0.0f64; if greedy { m * m } else { 0 }];
-        for (ni, oi) in keep.iter().enumerate() {
-            for (nj, oj) in keep.iter().enumerate() {
-                if let (Some(oi), Some(oj)) = (oi, oj) {
-                    last[ni * m + nj] = self.last_used[oi * self.n + oj];
-                    if greedy {
-                        weights[ni * m + nj] = self.weights[oi * self.n + oj];
-                    }
-                }
-            }
+        self.last_used = reindex(&self.last_used, self.n, keep, -1);
+        if !self.weights.is_empty() {
+            self.weights = reindex(&self.weights, self.n, keep, 0.0);
         }
-        self.n = m;
+        self.n = bstar.len();
         self.bstar = bstar;
         self.full = full;
-        self.last_used = last;
         self.overwritten.clear();
-        self.weights = weights;
     }
+}
+
+/// An `n × n` row-major table carried through `keep` (new index → old
+/// index); entries touching a fresh index read `fresh`.
+fn reindex<T: Copy>(old: &[T], n: usize, keep: &[Option<usize>], fresh: T) -> Vec<T> {
+    let m = keep.len();
+    let mut new = vec![fresh; m * m];
+    for (ni, oi) in keep.iter().enumerate() {
+        for (nj, oj) in keep.iter().enumerate() {
+            if let (Some(oi), Some(oj)) = (oi, oj) {
+                new[ni * m + nj] = old[oi * n + oj];
+            }
+        }
+    }
+    new
 }
 
 #[cfg(test)]

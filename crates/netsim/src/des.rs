@@ -113,12 +113,12 @@ pub struct RoundTiming {
     /// compute and the time it had at least one active transfer.
     pub idle_s: f64,
     /// Segments retransmitted while pricing this round
-    /// ([`crate::flows::SimReport::retransmit_segments`]); 0 except under
-    /// [`TimeModel::Packet`].
+    /// ([`crate::flows::SimReport::retransmit_segments`]); 0 except
+    /// under [`TimeModel::Packet`].
     pub retransmit_segments: u64,
     /// Deepest receiver queue observed while pricing this round
-    /// ([`crate::flows::SimReport::peak_queue_bytes`], bytes); 0 except under
-    /// [`TimeModel::Packet`].
+    /// ([`crate::flows::SimReport::peak_queue_bytes`], bytes); 0 except
+    /// under [`TimeModel::Packet`].
     pub peak_queue_bytes: f64,
 }
 
