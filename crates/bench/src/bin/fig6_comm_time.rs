@@ -18,21 +18,11 @@
 //! the records are directly comparable. Either way the per-algorithm
 //! numbers are merged into `BENCH_comm_time.json`, keyed by
 //! `(algorithm, workload, workers, time_model)`.
-//!
-//! `--throughput [rounds]` instead runs the round-engine benchmark
-//! behind the paper's headline wall-clock claim: SAPS-PSGD on the
-//! CIFAR-style workload with 16 workers, once sequential and once on 4
-//! threads, printing the speedup and recording both configurations to
-//! `BENCH_round_throughput.json`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saps_bench::commtime::{self, CommTimeEntry};
-use saps_bench::throughput::{self, ThroughputEntry};
-use saps_bench::{
-    experiment, paper_lineup, registry, run_algorithms, table, AlgorithmSpec, ParallelismPolicy,
-    TimeModel, Workload,
-};
+use saps_bench::{paper_lineup, run_algorithms, table, TimeModel, Workload};
 use saps_netsim::BandwidthMatrix;
 use std::path::Path;
 
@@ -69,66 +59,9 @@ fn parse_time_model(args: &mut Vec<String>) -> TimeModel {
     model
 }
 
-/// Sequential vs 4-thread round throughput of SAPS-PSGD on the
-/// 16-worker CIFAR-style workload (the acceptance workload for the
-/// parallel round engine).
-fn throughput_bench(rounds: usize) {
-    let w = Workload::cifar10_scaled();
-    let workers = 16;
-    let mut rng = StdRng::seed_from_u64(7);
-    let bw = BandwidthMatrix::uniform_random(workers, 5.0, &mut rng);
-    let spec = AlgorithmSpec::Saps {
-        compression: (100.0 / w.c_scale).max(1.0),
-        tthres: 8,
-        bthres: Some(bw.percentile(0.6)),
-    };
-    let reg = registry();
-    println!(
-        "=== round throughput: {} on {}, {} workers, {} rounds ===",
-        spec.label(),
-        w.name,
-        workers,
-        rounds
-    );
-    let mut entries: Vec<ThroughputEntry> = Vec::new();
-    for policy in [ParallelismPolicy::Sequential, ParallelismPolicy::Threads(4)] {
-        let hist = experiment(spec, &w, &bw, workers, 42)
-            .rounds(rounds)
-            .eval_every(rounds)
-            .eval_samples(200)
-            .parallelism(policy)
-            .run(&reg)
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
-        let entry = ThroughputEntry::from_run(&hist, w.name, workers, policy);
-        println!(
-            "  {:>2} thread(s): {:>8.2} rounds/s ({:.3} s wall)",
-            entry.threads, entry.rounds_per_sec, entry.wall_s
-        );
-        entries.push(entry);
-    }
-    let speedup = entries[1].rounds_per_sec / entries[0].rounds_per_sec;
-    println!("  speedup at 4 threads vs sequential: {speedup:.2}x");
-    let path = Path::new(throughput::BENCH_FILE);
-    match throughput::record(path, &entries) {
-        Ok(()) => println!("  recorded to {}", path.display()),
-        Err(e) => eprintln!("  warning: could not write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let time_model = parse_time_model(&mut args);
-    if args.first().map(String::as_str) == Some("--throughput") {
-        let rounds = args
-            .get(1)
-            .map(|s| s.parse().expect("rounds"))
-            .unwrap_or(30);
-        throughput_bench(rounds);
-        return;
-    }
     let workloads: Vec<Workload> = match args.first().map(String::as_str) {
         Some(name) => vec![Workload::by_name(name).unwrap_or_else(|| {
             eprintln!("unknown workload {name}; use mnist|cifar|resnet");

@@ -43,15 +43,11 @@
 //!   JSONL to `<path>` and a Prometheus-style metric snapshot to
 //!   `<path>.prom` (see `docs/OBSERVABILITY.md`).
 //!
-//! Besides the CSV on stdout, every run records its round throughput
-//! (rounds/sec, threads, algorithm, workload, driver, telemetry flag,
-//! on-wire MB) to `BENCH_round_throughput.json` in the working
-//! directory — recorder-on and recorder-off rows coexist, so the file
-//! carries the recorder-overhead comparison.
+//! The CSV goes to stdout and the summary to stderr; no file is written
+//! unless `--telemetry <path>` asks for one.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saps_bench::throughput::{self, ThroughputEntry};
 use saps_bench::{experiment, registry, AlgorithmSpec, ParallelismPolicy, TimeModel, Workload};
 use saps_cluster::{cluster_registry, WireTap};
 use saps_core::{CsvSink, Recorder};
@@ -116,10 +112,7 @@ impl Args {
                 "--target-acc" => {
                     a.target_acc = Some(val.parse().unwrap_or_else(|_| usage("bad --target-acc")))
                 }
-                "--threads" => {
-                    a.threads =
-                        throughput::parse_policy(val).unwrap_or_else(|| usage("bad --threads"))
-                }
+                "--threads" => a.threads = val.parse().unwrap_or_else(|_| usage("bad --threads")),
                 "--time-model" => {
                     a.time_model = match val.as_str() {
                         "analytic" => TimeModel::Analytic,
@@ -218,25 +211,13 @@ fn main() {
     });
 
     let wire = tap.snapshot();
-    // Cluster runs report the bytes actually framed on the wire; memory
-    // runs carry the accountant's logical byte total forward — the tap
-    // sees nothing when no wire exists, and 0 would misread as "free".
-    let entry = ThroughputEntry::from_run(&hist, workload.name, workers, args.threads);
-    let wire_mb = if args.driver == "cluster" {
-        wire.total_bytes as f64 / 1e6
-    } else {
-        entry.wire_mb
-    };
-    let entry = entry
-        .with_driver(&args.driver, wire_mb)
-        .with_telemetry(recorder.is_enabled());
     eprintln!(
         "# final acc {:.2}% | worker traffic {:.4} MB | server {:.4} MB | comm time {:.2} s | {:.2} rounds/s wall",
         hist.final_acc * 100.0,
         hist.total_worker_traffic_mb,
         hist.total_server_traffic_mb,
         hist.total_comm_time_s,
-        entry.rounds_per_sec,
+        hist.points.len() as f64 / hist.wall_time_s.max(f64::MIN_POSITIVE),
     );
     if args.driver == "cluster" {
         eprintln!(
@@ -249,11 +230,6 @@ fn main() {
     }
     if recorder.is_enabled() {
         report_telemetry(&recorder, &args.telemetry);
-    }
-    let path = Path::new(throughput::BENCH_FILE);
-    match throughput::record(path, &[entry]) {
-        Ok(()) => eprintln!("# round throughput recorded to {}", path.display()),
-        Err(e) => eprintln!("# warning: could not write {}: {e}", path.display()),
     }
 }
 

@@ -99,7 +99,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\nfull-size architectures are exercised by unit tests and the training_step \
-         criterion bench; convergence curves use the scaled workloads (DESIGN.md §6)."
+        "\nfull-size architectures are exercised by unit tests; convergence curves use \
+         the scaled workloads (DESIGN.md §6)."
     );
 }

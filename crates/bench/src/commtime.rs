@@ -5,10 +5,10 @@
 //! priced by the closed-form analytic model or the discrete-event
 //! simulator. This module records both, keyed by
 //! `(algorithm, workload, workers, time_model)`, into
-//! `BENCH_comm_time.json` in the working directory — same hand-rolled
-//! JSON convention as [`crate::throughput`] (no serde in the
-//! dependency-free build), and merging instead of clobbering so the
-//! analytic and DES passes accumulate side by side.
+//! `BENCH_comm_time.json` in the working directory — hand-rolled JSON,
+//! one entry per line (no serde in the dependency-free build), and
+//! merging instead of clobbering so the analytic and DES passes
+//! accumulate side by side.
 
 use saps_core::experiment::RunHistory;
 use std::io::{self, Write};
@@ -144,8 +144,7 @@ fn field_num<'a>(line: &'a str, name: &str) -> Option<&'a str> {
     Some(rest[..end].trim())
 }
 
-/// Serializes entries and writes them to `path` (truncate + write, like
-/// the throughput record).
+/// Serializes entries and writes them to `path` (truncate + write).
 pub fn write_json(path: &Path, entries: &[CommTimeEntry]) -> io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     write!(f, "{}", render_json(entries))?;

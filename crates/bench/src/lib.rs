@@ -1,11 +1,17 @@
-//! Shared harness for the paper-reproduction benchmark binaries.
+//! The paper's figures and tables, as binaries.
 //!
 //! Each table/figure of the paper has a binary in `src/bin/` that prints
-//! the same rows/series the paper reports. This library holds what they
+//! the same rows/series the paper reports (`fig*`, `table*`,
+//! `ablation_peer_strategy`; Fig. 6's numbers are also merged into
+//! `BENCH_comm_time.json` by [`commtime`]), and `run_experiment` is the
+//! free-form CSV / telemetry-trail runner. This library holds what they
 //! share: the three scaled workloads standing in for MNIST-CNN,
 //! CIFAR10-CNN and ResNet-20 (DESIGN.md §6 explains the substitution),
 //! the [`experiment`] helper that turns an [`AlgorithmSpec`] + workload
 //! into a configured [`Experiment`], and plain-text table helpers.
+//!
+//! Nothing here measures wall-clock performance: that is the standalone
+//! `bench/` package's job (see `bench/README.md` and `BENCHMARK.json`).
 //!
 //! Algorithms are never constructed directly here — everything goes
 //! through [`registry`] (re-exported from `saps-baselines`), so adding
@@ -14,9 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod commtime;
-pub mod serving;
 pub mod table;
-pub mod throughput;
 pub mod workload;
 
 pub use saps_baselines::registry;

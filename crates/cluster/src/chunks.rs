@@ -8,20 +8,21 @@
 //! single donor serializes every joiner behind one link). This module
 //! replaces that with a BitTorrent-style fetch:
 //!
-//! * a publisher (the coordinator, or the baseline driver) splits the
-//!   checkpoint blob into fixed-size chunks and broadcasts a
+//! * the publisher (the fabric driving the resync) splits the
+//!   checkpoint blob into fixed-size chunks and builds their
 //!   [`ChunkManifest`] — epoch stamp, total length, chunk size, one
-//!   FNV-1a checksum per chunk ([`Message::ManifestAnnounce`]);
+//!   FNV-1a checksum per chunk. The manifest never crosses the wire:
+//!   the driver that built it also runs the joiner's download;
 //! * any peer whose own encoded state matches the manifest serves
 //!   verified slices of it on [`Message::ChunkRequest`];
 //! * a joiner's [`DownloadScheduler`] fans the chunk requests across
 //!   multiple peers at once (ranked fastest-first from the bandwidth
 //!   snapshot), verifies every [`Message::ChunkData`] against the
 //!   manifest, re-sources failed or corrupt chunks from the next peer,
-//!   and resumes cleanly after a peer disconnect.
+//!   and resumes after a timeout with requests unanswered.
 //!
 //! The manifest's checksums are the publisher's ground truth: a peer can
-//! only ever contribute bytes that hash to what the publisher announced,
+//! only ever contribute bytes that hash to what the publisher recorded,
 //! so the assembled blob is bit-identical to the monolithic path no
 //! matter which mix of peers served it (pinned by
 //! `tests/chunk_catchup.rs`).
@@ -35,8 +36,7 @@ use std::ops::Range;
 /// out; large enough that the 19-byte frame envelope is noise).
 pub const DEFAULT_CHUNK_BYTES: u32 = 64 * 1024;
 
-/// The chunk table of one published checkpoint epoch: what
-/// [`Message::ManifestAnnounce`] carries on the wire.
+/// The chunk table of one published checkpoint epoch.
 ///
 /// Chunk `i` covers blob bytes `[i·chunk_size, min((i+1)·chunk_size,
 /// total_len))`; every chunk is exactly `chunk_size` bytes except the
@@ -129,53 +129,6 @@ impl ChunkManifest {
             data: data.to_vec(),
         })
     }
-
-    /// The wire announcement of this manifest.
-    pub fn announce(&self) -> Message {
-        Message::ManifestAnnounce {
-            epoch: self.epoch,
-            round: self.round,
-            total_len: self.total_len,
-            chunk_size: self.chunk_size,
-            checksums: self.checksums.clone(),
-        }
-    }
-
-    /// Rebuilds a manifest from a received [`Message::ManifestAnnounce`],
-    /// `None` when the message is another variant or internally
-    /// inconsistent (zero chunk size with a non-empty blob, or a
-    /// checksum count that disagrees with `total_len / chunk_size`).
-    pub fn from_announce(msg: &Message) -> Option<Self> {
-        let Message::ManifestAnnounce {
-            epoch,
-            round,
-            total_len,
-            chunk_size,
-            checksums,
-        } = msg
-        else {
-            return None;
-        };
-        let expect = if *total_len == 0 {
-            0
-        } else {
-            let cs = *chunk_size as u64;
-            if cs == 0 {
-                return None;
-            }
-            total_len.div_ceil(cs)
-        };
-        if checksums.len() as u64 != expect {
-            return None;
-        }
-        Some(ChunkManifest {
-            epoch: *epoch,
-            round: *round,
-            total_len: *total_len,
-            chunk_size: (*chunk_size).max(1),
-            checksums: checksums.clone(),
-        })
-    }
 }
 
 /// What [`DownloadScheduler::on_chunk`] decided about one received
@@ -192,7 +145,7 @@ pub enum ChunkOutcome {
 }
 
 /// Fans one manifest's chunk requests across multiple peers, verifies
-/// every reply, re-sources failures, and survives peer loss.
+/// every reply and re-sources failures.
 ///
 /// Deterministic by construction: chunk `i`'s first request goes to
 /// ranked peer `i mod n` (so a multi-chunk download always spreads over
@@ -204,12 +157,11 @@ pub enum ChunkOutcome {
 /// [`DownloadScheduler::next_request`] until `None` (all in flight),
 /// deliver replies to [`DownloadScheduler::on_chunk`], and call
 /// [`DownloadScheduler::requeue_outstanding`] when the wire goes idle
-/// with requests unanswered (lost frames) or
-/// [`DownloadScheduler::on_peer_lost`] when a source disconnects.
+/// with requests unanswered (lost frames, a dead source).
 #[derive(Debug)]
 pub struct DownloadScheduler {
     manifest: ChunkManifest,
-    /// Serving candidates, fastest first. Shrinks on peer loss.
+    /// Serving candidates, fastest first.
     peers: Vec<u32>,
     /// Chunk indices awaiting a (re-)request.
     queue: VecDeque<u32>,
@@ -270,7 +222,7 @@ impl DownloadScheduler {
     /// [`DownloadScheduler::failed_chunk`]. Callers drain this in a loop
     /// to keep all peers busy.
     pub fn next_request(&mut self) -> Option<(u32, Message)> {
-        if self.failed.is_some() || self.peers.is_empty() {
+        if self.failed.is_some() {
             return None;
         }
         let index = self.queue.pop_front()?;
@@ -322,25 +274,6 @@ impl DownloadScheduler {
         }
     }
 
-    /// Removes a disconnected peer from the ring and requeues everything
-    /// that was outstanding at it. With no peers left the download
-    /// reports [`DownloadScheduler::failed_chunk`] on the next request.
-    pub fn on_peer_lost(&mut self, peer: u32) {
-        self.peers.retain(|&p| p != peer);
-        let orphaned: Vec<u32> = self
-            .outstanding
-            .iter()
-            .filter_map(|(&idx, &p)| (p == peer).then_some(idx))
-            .collect();
-        for idx in orphaned {
-            self.outstanding.remove(&idx);
-            self.requeue(idx);
-        }
-        if self.peers.is_empty() && !self.is_complete() {
-            self.failed = Some(self.queue.front().copied().unwrap_or(0));
-        }
-    }
-
     /// Requeues every in-flight request — the timeout path, called when
     /// the wire has gone idle with requests unanswered (dropped frames,
     /// a stalled peer). Each requeued chunk's retry rotates to the next
@@ -367,8 +300,8 @@ impl DownloadScheduler {
         self.chunks.len() as u32 == self.manifest.chunk_count()
     }
 
-    /// The chunk that exhausted its attempt budget (or was orphaned by
-    /// the last peer's loss), if the download is dead.
+    /// The chunk that exhausted its attempt budget, if the download is
+    /// dead.
     pub fn failed_chunk(&self) -> Option<u32> {
         self.failed
     }
@@ -433,59 +366,14 @@ mod tests {
     }
 
     #[test]
-    fn manifest_roundtrips_through_its_announce() {
-        let b = blob(1300);
-        let m = ChunkManifest::build(3, 17, &b, 512);
-        assert_eq!(m.chunk_count(), 3);
-        assert_eq!(m.chunk_range(2), Some(1024..1300));
-        assert_eq!(m.chunk_range(3), None);
-        assert!(m.matches(&b));
-        assert!(!m.matches(&blob(1299)));
-        let back = ChunkManifest::from_announce(&m.announce()).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn inconsistent_announces_are_refused() {
-        let m = ChunkManifest::build(1, 1, &blob(100), 40);
-        let Message::ManifestAnnounce {
-            epoch,
-            round,
-            total_len,
-            chunk_size,
-            checksums,
-        } = m.announce()
-        else {
-            unreachable!()
-        };
-        // Lying chunk count.
-        let mut bad = checksums.clone();
-        bad.push(7);
-        assert!(ChunkManifest::from_announce(&Message::ManifestAnnounce {
-            epoch,
-            round,
-            total_len,
-            chunk_size,
-            checksums: bad,
-        })
-        .is_none());
-        // Zero chunk size with a non-empty blob.
-        assert!(ChunkManifest::from_announce(&Message::ManifestAnnounce {
-            epoch,
-            round,
-            total_len,
-            chunk_size: 0,
-            checksums,
-        })
-        .is_none());
-        // Wrong variant.
-        assert!(ChunkManifest::from_announce(&Message::Shutdown).is_none());
-    }
-
-    #[test]
     fn download_fans_over_peers_and_assembles_bit_identically() {
         let b = blob(5000);
         let m = ChunkManifest::build(9, 4, &b, 1000);
+        assert_eq!(m.chunk_count(), 5);
+        assert_eq!(m.chunk_range(4), Some(4000..5000));
+        assert_eq!(m.chunk_range(5), None);
+        assert!(m.matches(&b));
+        assert!(!m.matches(&blob(4999)));
         let mut dl = DownloadScheduler::new(m.clone(), vec![3, 7, 11]);
         let mut asked = BTreeSet::new();
         while let Some((peer, req)) = dl.next_request() {
@@ -590,18 +478,20 @@ mod tests {
         let b = blob(4096);
         let m = ChunkManifest::build(1, 0, &b, 1024);
         let mut dl = DownloadScheduler::new(m.clone(), vec![2, 5]);
-        // Put everything in flight, then lose peer 2 before any reply.
-        let mut inflight = Vec::new();
+        // Put everything in flight; no reply ever arrives (the peers
+        // went away, or the network dropped the frames).
+        let mut first_asked = BTreeMap::new();
         while let Some((peer, req)) = dl.next_request() {
-            inflight.push((peer, req));
+            let Message::ChunkRequest { index, .. } = req else {
+                unreachable!()
+            };
+            first_asked.insert(index, peer);
         }
-        dl.on_peer_lost(2);
-        // Answers from the lost peer never arrive; requests to peer 5
-        // were also dropped by the network. Timeout requeues the rest.
+        // Timeout requeues the lot, and each retry asks the other peer.
         dl.requeue_outstanding();
         while let Some((peer, req)) = dl.next_request() {
-            assert_eq!(peer, 5, "only the surviving peer is asked");
             let (e, i, c, d) = serve(&m, &b, &req);
+            assert_ne!(peer, first_asked[&i], "chunk {i} retried at the same peer");
             dl.on_chunk(peer, e, i, c, &d);
         }
         assert_eq!(dl.assemble().unwrap(), b);
@@ -626,17 +516,6 @@ mod tests {
         assert_eq!(dl.failed_chunk(), Some(0));
         assert!(!dl.is_complete());
         assert!(dl.assemble().is_none());
-    }
-
-    #[test]
-    fn losing_every_peer_fails_the_download() {
-        let b = blob(100);
-        let m = ChunkManifest::build(1, 0, &b, 50);
-        let mut dl = DownloadScheduler::new(m, vec![3]);
-        let _ = dl.next_request();
-        dl.on_peer_lost(3);
-        assert!(dl.failed_chunk().is_some());
-        assert_eq!(dl.next_request(), None);
     }
 
     #[test]

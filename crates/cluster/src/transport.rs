@@ -58,7 +58,7 @@ pub trait Transport {
 /// count, checksum) are counted in `control_bytes` together with whole
 /// control frames. `model_bytes` counts the model-distribution plane —
 /// `FetchModel`/`FinalModel`/`ModelAnnounce` plus the chunked catch-up
-/// frames (`ChunkRequest`/`ChunkData`/`ManifestAnnounce`) — and
+/// frames (`ChunkRequest`/`ChunkData`) — and
 /// `serve_bytes` the `InferRequest`/`InferResponse` inference traffic —
 /// kept out of `control_bytes` so the trainer's per-round control
 /// billing is unchanged by co-located serving load. Invariant:
@@ -75,7 +75,7 @@ pub struct WireStats {
     pub control_bytes: u64,
     /// Model-distribution frames: `FetchModel`/`FinalModel`/
     /// `ModelAnnounce` and the chunked catch-up plane
-    /// (`ChunkRequest`/`ChunkData`/`ManifestAnnounce`).
+    /// (`ChunkRequest`/`ChunkData`).
     pub model_bytes: u64,
     /// Inference frames (`InferRequest`/`InferResponse`).
     pub serve_bytes: u64,

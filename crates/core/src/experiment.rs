@@ -109,11 +109,6 @@ pub struct RunHistory {
     pub total_worker_traffic_mb: f64,
     /// Total server traffic (MB); 0 for serverless algorithms.
     pub total_server_traffic_mb: f64,
-    /// Total logical traffic of the whole run (MB): bytes sent by every
-    /// worker plus the server row. This is the in-memory analog of the
-    /// cluster driver's framed wire total, so memory and cluster
-    /// throughput rows stay comparable.
-    pub total_traffic_mb: f64,
     /// Total communication time (seconds).
     pub total_comm_time_s: f64,
     /// Total compute-phase time (seconds); 0 unless compute is modeled.
@@ -121,10 +116,8 @@ pub struct RunHistory {
     /// Total mean per-worker idle time (seconds).
     pub total_idle_time_s: f64,
     /// Wall-clock time the driver spent stepping and evaluating
-    /// (seconds) — the throughput denominator of
-    /// `BENCH_round_throughput.json`. Unlike every other field it is
-    /// *not* deterministic, so comparisons of run equality should skip
-    /// it.
+    /// (seconds). Unlike every other field it is *not* deterministic,
+    /// so comparisons of run equality should skip it.
     pub wall_time_s: f64,
 }
 
@@ -683,9 +676,6 @@ impl Experiment {
                         final_acc: last_acc,
                         total_worker_traffic_mb: to_mb(traffic.max_worker_total()),
                         total_server_traffic_mb: to_mb(traffic.server_total()),
-                        total_traffic_mb: to_mb(
-                            traffic.grand_total_sent() + traffic.server_total(),
-                        ),
                         total_comm_time_s: time_s,
                         total_compute_time_s: compute_s,
                         total_idle_time_s: idle_s,
@@ -839,7 +829,6 @@ impl Experiment {
             final_acc: last_acc,
             total_worker_traffic_mb: to_mb(traffic.max_worker_total()),
             total_server_traffic_mb: to_mb(traffic.server_total()),
-            total_traffic_mb: to_mb(traffic.grand_total_sent() + traffic.server_total()),
             total_comm_time_s: time_s,
             total_compute_time_s: compute_s,
             total_idle_time_s: idle_s,
@@ -931,7 +920,6 @@ mod tests {
             final_acc: 0.9,
             total_worker_traffic_mb: 0.0,
             total_server_traffic_mb: 0.0,
-            total_traffic_mb: 0.0,
             total_comm_time_s: 0.0,
             total_compute_time_s: 0.0,
             total_idle_time_s: 0.0,

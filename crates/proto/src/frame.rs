@@ -280,7 +280,7 @@ impl FrameDecoder {
 
 /// FNV-1a 64-bit over `data` — the frame trailer's integrity check,
 /// exported so the chunked model-distribution layer stamps each
-/// [`Message::ChunkData`] slice and manifest entry with the same
+/// [`Message::ChunkData`] slice and chunk-manifest entry with the same
 /// dependency-free checksum (corruption detection, not a MAC).
 pub fn checksum(data: &[u8]) -> u64 {
     fnv1a(data)
@@ -351,13 +351,6 @@ mod tests {
                 index: 2,
                 checksum: 0x1234_5678_9ABC_DEF0,
                 data: vec![5, 4, 3, 2, 1],
-            },
-            Message::ManifestAnnounce {
-                epoch: 7,
-                round: 21,
-                total_len: 1300,
-                chunk_size: 512,
-                checksums: vec![11, 22, 33],
             },
         ]
     }
@@ -481,12 +474,15 @@ mod tests {
 
     #[test]
     fn unknown_tag_with_valid_checksum_is_typed() {
-        let mut raw = encode(&Message::Shutdown).to_vec();
-        raw[6] = 200;
-        let body_end = raw.len() - TRAILER_LEN;
-        let sum = fnv1a(&raw[..body_end]).to_le_bytes();
-        raw[body_end..].copy_from_slice(&sum);
-        assert_eq!(decode(&raw), Err(ProtoError::UnknownTag(200)));
+        // 200 was never assigned; 18 is the retired manifest broadcast.
+        for tag in [200, 18] {
+            let mut raw = encode(&Message::Shutdown).to_vec();
+            raw[6] = tag;
+            let body_end = raw.len() - TRAILER_LEN;
+            let sum = fnv1a(&raw[..body_end]).to_le_bytes();
+            raw[body_end..].copy_from_slice(&sum);
+            assert_eq!(decode(&raw), Err(ProtoError::UnknownTag(tag)));
+        }
     }
 
     #[test]
@@ -534,25 +530,6 @@ mod tests {
         assert_eq!(
             decode(&raw),
             Err(ProtoError::Malformed("chunk length vs body length"))
-        );
-
-        // ManifestAnnounce with a lying checksum count.
-        let mut raw = encode(&Message::ManifestAnnounce {
-            epoch: 1,
-            round: 2,
-            total_len: 100,
-            chunk_size: 50,
-            checksums: vec![1, 2],
-        })
-        .to_vec();
-        let count_at = HEADER_LEN + 8 + 8 + 8 + 4;
-        raw[count_at..count_at + 4].copy_from_slice(&1000u32.to_le_bytes());
-        let body_end = raw.len() - TRAILER_LEN;
-        let sum = fnv1a(&raw[..body_end]).to_le_bytes();
-        raw[body_end..].copy_from_slice(&sum);
-        assert_eq!(
-            decode(&raw),
-            Err(ProtoError::Malformed("checksum count vs body length"))
         );
     }
 

@@ -22,7 +22,7 @@ pub enum TrafficClass {
     /// Model distribution: full-model collection (`FetchModel` /
     /// `FinalModel`) — Table I's one-final-model server cost and the
     /// evaluation instrumentation path — plus the chunked catch-up
-    /// frames (`ChunkRequest` / `ChunkData` / `ManifestAnnounce`).
+    /// frames (`ChunkRequest` / `ChunkData`).
     ModelPlane,
     /// Inference traffic (`InferRequest` / `InferResponse`) — the
     /// serving plane added by `saps-serve`. Kept out of the control row
@@ -222,24 +222,6 @@ pub enum Message {
         /// remainder.
         data: Vec<u8>,
     },
-    /// Publisher → fleet: the chunk table of checkpoint epoch `epoch`.
-    ///
-    /// The manifest is the ground truth a downloader verifies every
-    /// [`Message::ChunkData`] against: total blob length, fixed chunk
-    /// size, and one FNV-1a 64 checksum per chunk. Chunk `i` covers blob
-    /// bytes `[i·chunk_size, min((i+1)·chunk_size, total_len))`.
-    ManifestAnnounce {
-        /// Monotone checkpoint epoch (bumped once per published manifest).
-        epoch: u64,
-        /// Training round the checkpoint captures.
-        round: u64,
-        /// Total checkpoint blob length in bytes.
-        total_len: u64,
-        /// Fixed chunk size in bytes (the last chunk may be shorter).
-        chunk_size: u32,
-        /// Per-chunk FNV-1a 64 checksums, one per chunk, in index order.
-        checksums: Vec<u64>,
-    },
 }
 
 pub(crate) const TAG_NOTIFY_TRAIN: u8 = 1;
@@ -259,7 +241,9 @@ pub(crate) const TAG_SPARSE_PAYLOAD: u8 = 14;
 pub(crate) const TAG_CLIENT_STATS: u8 = 15;
 pub(crate) const TAG_CHUNK_REQUEST: u8 = 16;
 pub(crate) const TAG_CHUNK_DATA: u8 = 17;
-pub(crate) const TAG_MANIFEST_ANNOUNCE: u8 = 18;
+// Tag 18 is retired (it was `ManifestAnnounce`, the chunk-manifest
+// broadcast) and must never be reused: it decodes to
+// `ProtoError::UnknownTag` like any other unassigned tag.
 
 /// Every data-plane payload frame ([`Message::MaskedPayload`],
 /// [`Message::DensePayload`], [`Message::SparsePayload`]) starts its
@@ -291,7 +275,6 @@ impl Message {
             Message::ClientStats { .. } => TAG_CLIENT_STATS,
             Message::ChunkRequest { .. } => TAG_CHUNK_REQUEST,
             Message::ChunkData { .. } => TAG_CHUNK_DATA,
-            Message::ManifestAnnounce { .. } => TAG_MANIFEST_ANNOUNCE,
         }
     }
 
@@ -315,7 +298,6 @@ impl Message {
             Message::ClientStats { .. } => "ClientStats",
             Message::ChunkRequest { .. } => "ChunkRequest",
             Message::ChunkData { .. } => "ChunkData",
-            Message::ManifestAnnounce { .. } => "ManifestAnnounce",
         }
     }
 
@@ -332,12 +314,8 @@ impl Message {
             TAG_MASKED_PAYLOAD | TAG_DENSE_PAYLOAD | TAG_SPARSE_PAYLOAD => {
                 Some(TrafficClass::DataPlane)
             }
-            TAG_FETCH_MODEL
-            | TAG_FINAL_MODEL
-            | TAG_MODEL_ANNOUNCE
-            | TAG_CHUNK_REQUEST
-            | TAG_CHUNK_DATA
-            | TAG_MANIFEST_ANNOUNCE => Some(TrafficClass::ModelPlane),
+            TAG_FETCH_MODEL | TAG_FINAL_MODEL | TAG_MODEL_ANNOUNCE | TAG_CHUNK_REQUEST
+            | TAG_CHUNK_DATA => Some(TrafficClass::ModelPlane),
             TAG_NOTIFY_TRAIN | TAG_ROUND_END | TAG_JOIN | TAG_LEAVE | TAG_BANDWIDTH_REPORT
             | TAG_SHUTDOWN | TAG_CLIENT_STATS => Some(TrafficClass::ControlPlane),
             TAG_INFER_REQUEST | TAG_INFER_RESPONSE => Some(TrafficClass::ServePlane),
@@ -398,7 +376,6 @@ impl Message {
             Message::ClientStats { .. } => 8 + 4 + 8 + 8,
             Message::ChunkRequest { .. } => 8 + 4,
             Message::ChunkData { data, .. } => 8 + 4 + 8 + 4 + data.len(),
-            Message::ManifestAnnounce { checksums, .. } => 8 + 8 + 8 + 4 + 4 + 8 * checksums.len(),
         }
     }
 
@@ -528,22 +505,6 @@ impl Message {
                 buf.put_u64_le(*checksum);
                 buf.put_u32_le(data.len() as u32);
                 buf.put_slice(data);
-            }
-            Message::ManifestAnnounce {
-                epoch,
-                round,
-                total_len,
-                chunk_size,
-                checksums,
-            } => {
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*round);
-                buf.put_u64_le(*total_len);
-                buf.put_u32_le(*chunk_size);
-                buf.put_u32_le(checksums.len() as u32);
-                for &c in checksums {
-                    buf.put_u64_le(c);
-                }
             }
         }
     }
@@ -723,25 +684,6 @@ impl Message {
                     index,
                     checksum,
                     data,
-                }
-            }
-            TAG_MANIFEST_ANNOUNCE => {
-                let (epoch, round, total_len) = (need_u64(buf)?, need_u64(buf)?, need_u64(buf)?);
-                let chunk_size = need_u32(buf)?;
-                let count = need_u32(buf)? as usize;
-                if buf.len() != 8 * count {
-                    return Err(ProtoError::Malformed("checksum count vs body length"));
-                }
-                let mut checksums = Vec::with_capacity(count);
-                for _ in 0..count {
-                    checksums.push(buf.get_u64_le());
-                }
-                Message::ManifestAnnounce {
-                    epoch,
-                    round,
-                    total_len,
-                    chunk_size,
-                    checksums,
                 }
             }
             other => return Err(ProtoError::UnknownTag(other)),

@@ -33,7 +33,7 @@ fn arbitrary_message(seed: u64) -> Message {
     // Raw bit reinterpretation: NaNs and infinities must round-trip
     // bit-exactly, so generate floats from arbitrary bits.
     let f32_bits = |rng: &mut StdRng| f32::from_bits(rng.gen::<u32>());
-    match rng.gen_range(0..18u32) {
+    match rng.gen_range(0..17u32) {
         0 => {
             let pairs = rng.gen_range(0..20usize);
             Message::NotifyTrain {
@@ -146,23 +146,13 @@ fn arbitrary_message(seed: u64) -> Message {
             epoch: rng.gen(),
             index: rng.gen(),
         },
-        16 => {
+        _ => {
             let n = rng.gen_range(0..600usize);
             Message::ChunkData {
                 epoch: rng.gen(),
                 index: rng.gen(),
                 checksum: rng.gen(),
                 data: (0..n).map(|_| rng.gen()).collect(),
-            }
-        }
-        _ => {
-            let n = rng.gen_range(0..64usize);
-            Message::ManifestAnnounce {
-                epoch: rng.gen(),
-                round: rng.gen(),
-                total_len: rng.gen(),
-                chunk_size: rng.gen(),
-                checksums: (0..n).map(|_| rng.gen()).collect(),
             }
         }
     }

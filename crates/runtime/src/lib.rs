@@ -91,6 +91,20 @@ impl ParallelismPolicy {
     }
 }
 
+/// Parses a `--threads` value: `seq` / `sequential` / `1`, `auto`, or a
+/// thread count `N`.
+impl std::str::FromStr for ParallelismPolicy {
+    type Err = std::num::ParseIntError;
+
+    fn from_str(value: &str) -> Result<Self, Self::Err> {
+        match value {
+            "seq" | "sequential" | "1" => Ok(ParallelismPolicy::Sequential),
+            "auto" => Ok(ParallelismPolicy::Auto),
+            n => n.parse().map(ParallelismPolicy::Threads),
+        }
+    }
+}
+
 /// The execution lane for per-worker compute: a resolved thread count
 /// plus the scoped fork-join that uses it.
 ///
@@ -233,6 +247,16 @@ mod tests {
         assert_eq!(ParallelismPolicy::Threads(4).resolve(), 4);
         assert_eq!(ParallelismPolicy::Threads(0).resolve(), 1);
         assert!(ParallelismPolicy::Auto.resolve() >= 1);
+    }
+
+    #[test]
+    fn policy_parsing() {
+        assert_eq!("seq".parse(), Ok(ParallelismPolicy::Sequential));
+        assert_eq!("sequential".parse(), Ok(ParallelismPolicy::Sequential));
+        assert_eq!("1".parse(), Ok(ParallelismPolicy::Sequential));
+        assert_eq!("auto".parse(), Ok(ParallelismPolicy::Auto));
+        assert_eq!("4".parse(), Ok(ParallelismPolicy::Threads(4)));
+        assert!("bogus".parse::<ParallelismPolicy>().is_err());
     }
 
     #[test]

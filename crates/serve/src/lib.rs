@@ -25,7 +25,7 @@
 //!   nodes of a `saps-netsim` bandwidth matrix, so serving transfers
 //!   are priced by the same `TimeModel`s (fluid or packet) as the
 //!   training round they share the fabric with — the mixed-load
-//!   scenario of `docs/SERVING.md` and the `bench_serving` binary.
+//!   scenario of `docs/SERVING.md` and `examples/serving_demo.rs`.
 //!
 //! The wire protocol is the `saps-proto` frame envelope; serving bytes
 //! are metered in their own [`saps_cluster::WireStats::serve_bytes`]

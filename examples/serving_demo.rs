@@ -9,7 +9,10 @@
 //! side: the training data plane (masked values), the control plane
 //! (frame envelopes), the model plane (checkpoint announces +
 //! evaluation collection), and the serving plane (requests +
-//! responses).
+//! responses). The serving plane's transfers are then placed on the
+//! training fleet's nodes ([`ServePlacement`]) and priced on the same
+//! bandwidth matrix the trainer ran over, under the fluid and the
+//! packet-level time model.
 //!
 //! ```sh
 //! cargo run --release --example serving_demo
@@ -21,13 +24,15 @@ use saps::cluster::{cluster_registry, WireTap};
 use saps::core::{checkpoint, AlgorithmSpec, Experiment};
 use saps::data::SyntheticSpec;
 use saps::netsim::workload::{ArrivalProcess, RequestArrivals};
+use saps::netsim::{BandwidthMatrix, PacketConfig, TimeModel};
 use saps::nn::zoo;
-use saps::serve::{ReplicaNode, ServeCluster};
+use saps::serve::{ReplicaNode, ServeCluster, ServePlacement};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 const DIMS: [usize; 3] = [16, 24, 4];
 const REPLICAS: u32 = 2;
+const WORKERS: usize = 8;
 const ROUNDS: usize = 20;
 
 fn mb(bytes: u64) -> f64 {
@@ -40,6 +45,8 @@ fn main() {
 
     let ds = SyntheticSpec::tiny().samples(2_000).generate(33);
     let (train, val) = ds.split(0.2, 0);
+    // One fabric for both planes: heterogeneous (0, 5] MB/s links.
+    let bw = BandwidthMatrix::uniform_random(WORKERS, 5.0, &mut StdRng::seed_from_u64(33));
 
     // Boot the fleet from an untrained checkpoint: it serves (badly)
     // from round zero and improves as announces land.
@@ -69,10 +76,11 @@ fn main() {
     let hist = Experiment::new(AlgorithmSpec::parse("saps").unwrap().with_compression(8.0))
         .train(train)
         .validation(val)
-        .workers(8)
+        .workers(WORKERS)
         .batch_size(32)
         .lr(0.1)
         .seed(33)
+        .bandwidth_matrix(bw.clone())
         .model(|rng| zoo::mlp(&DIMS, rng))
         .rounds(ROUNDS)
         .eval_every(10)
@@ -149,5 +157,21 @@ fn main() {
     println!(
         "  serving plane (announces + rpc)  {:10.4} MB",
         mb(serve_wire.serve_bytes + serve_wire.model_bytes)
+    );
+
+    // Mixed load: the serving transfers that rode along, placed on the
+    // training fleet's nodes and priced on its matrix.
+    let served = ServePlacement { nodes: WORKERS }.map(&fleet.take_transfers());
+    let fluid = TimeModel::Analytic.price_p2p(&bw, &served, &[]);
+    let packet = TimeModel::packet(PacketConfig::ideal().with_rtt(0.005).with_seed(7)).price_p2p(
+        &bw,
+        &served,
+        &[],
+    );
+    println!(
+        "\nmixed load: {} serve transfers on the training matrix take {:.3} s fluid, {:.3} s packet-priced",
+        served.len(),
+        fluid.total_s,
+        packet.total_s
     );
 }

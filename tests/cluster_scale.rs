@@ -14,20 +14,17 @@
 //!
 //! The test is `#[ignore]`d — CI runs it as a dedicated step
 //! (`cargo test --test cluster_scale -- --ignored`) outside the tier-1
-//! suite so the default `cargo test` stays fast. With
-//! `SAPS_SCALE_RECORD=1` it also merges its measured throughput into
-//! `BENCH_round_throughput.json` (driver `"cluster"`, workers 1000) via
-//! the same `saps-bench` recorder the runner binaries use.
+//! suite so the default `cargo test` stays fast. Its speed is measured
+//! by `bench/`'s `saps1k-wire` workload, not here.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saps::cluster::{ClusterTrainer, WireTap};
-use saps::core::{ParallelismPolicy, RoundCtx, SapsConfig, Trainer};
+use saps::core::{RoundCtx, SapsConfig, Trainer};
 use saps::data::{partition, SyntheticSpec};
 use saps::netsim::{BandwidthMatrix, TrafficAccountant};
 use saps::nn::zoo;
 use saps::tensor::rng::{derive_seed, streams};
-use saps_bench::throughput::{self, ThroughputEntry, BENCH_FILE};
 
 const SEED: u64 = 41;
 const WORKERS: usize = 1_000;
@@ -65,7 +62,6 @@ fn thousand_worker_sharded_round_trip() {
     assert_eq!(clu.worker_count(), WORKERS);
 
     let mut traffic = TrafficAccountant::new(WORKERS);
-    let started = std::time::Instant::now();
     for round in 0..ROUNDS {
         let rep = {
             let mut ctx = RoundCtx::new(round, &bw, &mut traffic, SEED);
@@ -78,7 +74,6 @@ fn thousand_worker_sharded_round_trip() {
         );
         assert!(rep.mean_acc.is_finite(), "round {round}");
     }
-    let wall_s = started.elapsed().as_secs_f64();
 
     let wire = tap.snapshot();
     assert!(wire.data_bytes > 0, "no data-plane bytes framed");
@@ -90,21 +85,4 @@ fn thousand_worker_sharded_round_trip() {
         paired >= WORKERS / 2,
         "only {paired}/{WORKERS} workers exchanged data"
     );
-
-    if std::env::var("SAPS_SCALE_RECORD").is_ok() {
-        let wire_mb = wire.total_bytes as f64 / (1024.0 * 1024.0);
-        let entry = ThroughputEntry {
-            algorithm: "SAPS-PSGD".to_string(),
-            workload: "Synthetic-MLP (tiny)".to_string(),
-            workers: WORKERS,
-            threads: ParallelismPolicy::Auto.resolve(),
-            driver: "cluster".to_string(),
-            telemetry: false,
-            rounds: ROUNDS,
-            wall_s,
-            rounds_per_sec: ROUNDS as f64 / wall_s.max(f64::MIN_POSITIVE),
-            wire_mb,
-        };
-        throughput::record(std::path::Path::new(BENCH_FILE), &[entry]).unwrap();
-    }
 }

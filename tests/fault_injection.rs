@@ -16,7 +16,7 @@
 //!    mid-round and the round replays without it, leaving *every*
 //!    worker — honest ones and the rolled-back offender — bit-identical
 //!    to a run where the offender left gracefully at the same round.
-//!    This is the acceptance criterion of the byzantine scenario; it
+//!    This is the acceptance test of the byzantine scenario; it
 //!    runs inside the CI determinism matrix (`SAPS_THREADS ∈ {1, 2}`).
 //!    An expelled rank stays expelled: a membership request for it is
 //!    refused before anything is framed.

@@ -16,18 +16,29 @@
 //!    the [`TrafficAccountant`]: masked payload values on the worker
 //!    rows (`data_bytes`), everything else on the server row
 //!    (`control_bytes`).
+//! 4. **Serving** — the same holds on the inference plane: a
+//!    [`ServeCluster`] answers a seeded request / announce schedule
+//!    bit-identically with the recorder on or off at any executor
+//!    width, and the trail accounts for every announce, swap and
+//!    completed request.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use saps::cluster::{
     cluster_registry, Addr, ClusterError, ClusterTrainer, FaultPlan, FaultScope, FaultyTransport,
     Framed, LoopbackTransport, WireTap,
 };
+use saps::core::checkpoint;
 use saps::core::{
     AlgorithmSpec, Experiment, Recorder, RoundCtx, RunHistory, SapsConfig, SapsPsgd, ScenarioEvent,
     Trainer,
 };
 use saps::data::{partition, Dataset, SyntheticSpec};
+use saps::netsim::workload::{ArrivalProcess, RequestArrivals};
 use saps::netsim::{BandwidthMatrix, TrafficAccountant};
 use saps::nn::zoo;
+use saps::runtime::{Executor, ParallelismPolicy};
+use saps::serve::{CompletedRequest, ReplicaNode, ServeCluster, ServeStats};
 use saps::telemetry::validate_jsonl;
 use saps::tensor::rng::{derive_seed, streams};
 
@@ -120,7 +131,7 @@ fn cfg(workers: usize) -> SapsConfig {
     }
 }
 
-fn model(rng: &mut rand::rngs::StdRng) -> saps::nn::Model {
+fn model(rng: &mut StdRng) -> saps::nn::Model {
     zoo::mlp(&[16, 20, 4], rng)
 }
 
@@ -333,4 +344,80 @@ fn baseline_churn_emits_resync_events() {
     assert_eq!(rec.counter("cluster.resyncs"), Some(1));
     // The whole trail round-trips as JSONL.
     assert!(validate_jsonl(&rec.events_jsonl()).unwrap() >= events.len());
+}
+
+const SERVE_DIMS: [usize; 3] = [16, 16, 4];
+const SERVE_REPLICAS: u32 = 3;
+const SERVE_ANNOUNCES: u64 = 4;
+
+/// One seeded serving schedule: Poisson arrivals every tick, a fresh
+/// checkpoint announced every third tick, drained at the end.
+fn serve_schedule(exec: Executor, recorder: Recorder) -> (Vec<CompletedRequest>, ServeStats) {
+    let ckpt = |round: u64| {
+        let mut rng = StdRng::seed_from_u64(SEED + round);
+        checkpoint::encode(&zoo::mlp(&SERVE_DIMS, &mut rng).flat_params(), round)
+    };
+    let replicas = (0..SERVE_REPLICAS)
+        .map(|id| {
+            let mut rng = StdRng::seed_from_u64(SEED);
+            ReplicaNode::new(id, zoo::mlp(&SERVE_DIMS, &mut rng), &ckpt(0), 4).unwrap()
+        })
+        .collect();
+    let mut fleet = ServeCluster::loopback(replicas)
+        .unwrap()
+        .with_executor(exec)
+        .with_telemetry(recorder);
+    let mut arrivals = RequestArrivals::new(ArrivalProcess::Poisson { rate: 5.0 }, SEED);
+    let mut submitted = 0u32;
+    for tick in 0..3 * SERVE_ANNOUNCES {
+        if tick % 3 == 0 {
+            fleet.announce(ckpt(1 + tick / 3).to_vec()).unwrap();
+        }
+        for _ in 0..arrivals.next_tick() {
+            let features = vec![0.01 * submitted as f32; SERVE_DIMS[0]];
+            fleet.submit(submitted % 3, features).unwrap();
+            submitted += 1;
+        }
+        fleet.tick().unwrap();
+    }
+    fleet.drain_in_flight(32).unwrap();
+    (fleet.take_completed(), fleet.stats())
+}
+
+/// The serving half of the bit-identity contract, plus the trail's
+/// bookkeeping: one `model.announce` per announce, one `model.swap` per
+/// replica per accepted version, one latency observation per completed
+/// request.
+#[test]
+fn serving_recorder_on_off_is_bit_identical_and_the_trail_adds_up() {
+    let two_threads = Executor::new(ParallelismPolicy::Threads(2));
+    let (reference, ref_stats) = serve_schedule(Executor::sequential(), Recorder::disabled());
+    assert!(reference.len() > 20, "the schedule must carry real load");
+    assert!(reference.iter().any(|c| c.model_version == SERVE_ANNOUNCES));
+    assert_eq!(ref_stats.completed, ref_stats.submitted, "no request lost");
+    // Ids, clients, model tags, logits (bitwise) and latency ticks.
+    let (off, _) = serve_schedule(two_threads, Recorder::disabled());
+    assert_eq!(off, reference, "2 threads, recorder off");
+    for exec in [Executor::sequential(), two_threads] {
+        let rec = Recorder::new();
+        let (on, stats) = serve_schedule(exec, rec.clone());
+        assert_eq!(on, reference, "{} thread(s), recorder on", exec.threads());
+        assert_eq!(stats, ref_stats);
+
+        let events = rec.events();
+        let count = |kind: &str| events.iter().filter(|e| e.kind == kind).count() as u64;
+        assert_eq!(stats.announces, SERVE_ANNOUNCES);
+        assert_eq!(count("model.announce"), stats.announces);
+        assert_eq!(stats.swaps, u64::from(SERVE_REPLICAS) * SERVE_ANNOUNCES);
+        assert_eq!(count("model.swap"), stats.swaps);
+        assert_eq!(count("swap.rejected"), 0);
+        let latency = rec.histogram("serve.latency_ticks").unwrap();
+        assert_eq!(latency.count, stats.completed);
+        assert_eq!(
+            latency.sum,
+            on.iter().map(|c| c.latency_ticks as f64).sum::<f64>()
+        );
+        assert_eq!(rec.counter("serve.completed"), Some(stats.completed));
+        assert!(validate_jsonl(&rec.events_jsonl()).unwrap() >= events.len());
+    }
 }
