@@ -1,12 +1,11 @@
 //! D-PSGD: decentralized parallel SGD on a fixed ring \[25\].
 
-use crate::common::{check_ring, ring_link_stats, round_report};
+use crate::common::{check_ring, ring_link_stats};
 use crate::exchange::{mean_stats, run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use saps_compress::codec;
-use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
+use saps_core::{round_report, ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
-use saps_netsim::BandwidthMatrix;
 
 /// D-PSGD on the fixed ring `0 → 1 → … → n−1 → 0` (the paper's Section
 /// IV-D setup): each round every worker runs one SGD step, sends its
@@ -123,10 +122,6 @@ impl<X: Exchange> Trainer for DPsgd<X> {
     fn set_worker_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
         // The ring needs at least 3 live workers to stay a ring.
         self.fleet.set_active(rank, active, 3)
-    }
-
-    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        self.x.refresh_bandwidth(bw);
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {

@@ -1,13 +1,12 @@
 //! DCD-PSGD: difference-compressed decentralized SGD on a ring \[26\].
 
-use crate::common::{check_compression, check_ring, ring_link_stats, round_report};
+use crate::common::{check_compression, check_ring, ring_link_stats};
 use crate::exchange::{mean_stats, run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use saps_compress::codec;
 use saps_compress::topk::{densify, top_k_indices};
-use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
+use saps_core::{round_report, ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
-use saps_netsim::BandwidthMatrix;
 
 /// DCD-PSGD on the fixed ring: each worker maintains a **replica** of
 /// each neighbour's model (the memory cost the paper criticizes) and
@@ -183,10 +182,6 @@ impl<X: Exchange> Trainer for DcdPsgd<X> {
             self.broadcast[rank] = self.fleet.worker(rank).flat();
         }
         Ok(())
-    }
-
-    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        self.x.refresh_bandwidth(bw);
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {

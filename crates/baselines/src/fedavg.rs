@@ -1,15 +1,14 @@
 //! FedAvg: the canonical parameter-server federated-learning baseline.
 
-use crate::common::{check_sampling, round_report, ClientPhase};
+use crate::common::{check_sampling, ps_client_phase, ClientPhase};
 use crate::exchange::{run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use saps_compress::codec;
-use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
+use saps_core::{round_report, ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
-use saps_netsim::BandwidthMatrix;
 use saps_tensor::rng::{derive_seed, streams};
 
 /// FedAvg hyper-parameters.
@@ -108,8 +107,15 @@ impl<X: Exchange> FedAvg<X> {
         let (fleet, server_model, cfg) = (&mut self.fleet, &mut self.server_model, self.cfg);
         run_round(&mut self.x, &mut self.rounds, ctx, |x, _, ctx| {
             let n = fleet.n_params();
-            let ClientPhase { loss, acc, down } =
-                fleet.ps_client_phase(x, ctx, server, &clients, server_model, cfg.local_steps)?;
+            let ClientPhase { loss, acc, down } = ps_client_phase(
+                fleet,
+                x,
+                ctx,
+                server,
+                &clients,
+                server_model,
+                cfg.local_steps,
+            )?;
             let steps = (clients.len() * cfg.local_steps) as f64;
 
             // Dense uploads, averaged at the server from the copies it
@@ -165,10 +171,6 @@ impl<X: Exchange> Trainer for FedAvg<X> {
 
     fn set_worker_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
         self.fleet.set_active(rank, active, 2)
-    }
-
-    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        self.x.refresh_bandwidth(bw);
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {

@@ -30,7 +30,8 @@
 //! [`saps_core::Experiment`] driver — or, for another fabric,
 //! [`register_baselines`]. Worker churn is first-class: every baseline
 //! honours [`saps_core::Trainer::set_worker_active`] through the
-//! [`Fleet`]'s membership mask.
+//! membership mask of the [`Fleet`] — the one worker set of `saps-core`
+//! that SAPS-PSGD is built on too, re-exported here.
 
 #![warn(missing_docs)]
 
@@ -46,7 +47,6 @@ mod registry;
 mod s_fedavg;
 mod topk_psgd;
 
-pub use common::{select_ranked_mut, Fleet};
 pub use d_psgd::DPsgd;
 pub use dcd_psgd::DcdPsgd;
 pub use exchange::{Direct, Exchange, Node, Payload, Shape};
@@ -55,4 +55,5 @@ pub use psgd::PsgdAllReduce;
 pub use random_choose::RandomChoose;
 pub use registry::{register_baselines, registry};
 pub use s_fedavg::SFedAvg;
+pub use saps_core::{select_ranked_mut, Fleet};
 pub use topk_psgd::TopKPsgd;

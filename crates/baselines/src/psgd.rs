@@ -1,10 +1,10 @@
 //! PSGD with ring all-reduce — the classical dense baseline.
 
 use crate::allreduce::{allgather_chunk, chunk_range, reduce_scatter_chunk, ring_send_bytes};
-use crate::common::{ring_link_stats, round_report};
+use crate::common::ring_link_stats;
 use crate::exchange::{mean_stats, run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
-use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
+use saps_core::{round_report, ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
 use saps_netsim::BandwidthMatrix;
 
@@ -25,6 +25,9 @@ pub struct PsgdAllReduce<X: Exchange = Direct> {
     fleet: Fleet,
     x: X,
     rounds: u64,
+    /// The bandwidths the trainer was last told — what a joiner's donors
+    /// are ranked from (`None`: by ascending rank).
+    bw: Option<BandwidthMatrix>,
 }
 
 impl PsgdAllReduce {
@@ -41,6 +44,7 @@ impl<X: Exchange> PsgdAllReduce<X> {
             fleet,
             x: fabric,
             rounds: 0,
+            bw: None,
         })
     }
 
@@ -190,13 +194,14 @@ impl<X: Exchange> Trainer for PsgdAllReduce<X> {
         self.fleet.set_active(rank, active, 2)?;
         if active {
             // Resync the joiner so replicas stay bit-identical.
-            self.fleet.resync_joiner(&mut self.x, self.rounds, rank)?;
+            self.fleet
+                .resync_joiner(&mut self.x, self.rounds, rank, self.bw.as_ref())?;
         }
         Ok(())
     }
 
     fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        self.x.refresh_bandwidth(bw);
+        self.bw = Some(bw.clone());
     }
 }
 

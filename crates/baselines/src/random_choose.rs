@@ -7,7 +7,7 @@
 //! expected bottleneck of a random matching is far below what maximum
 //! matching on `B*` achieves.
 
-use crate::common::{check_compression, round_report};
+use crate::common::check_compression;
 use crate::exchange::{mean_stats, run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use rand::rngs::StdRng;
@@ -15,10 +15,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use saps_compress::codec;
 use saps_compress::mask::RandomMask;
-use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
+use saps_core::{round_report, ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
 use saps_graph::topology::random_perfect_matching;
-use saps_netsim::BandwidthMatrix;
 use saps_tensor::rng::{derive_seed, streams};
 
 /// SAPS-PSGD's sparse single-peer exchange with uniformly random peer
@@ -155,10 +154,6 @@ impl<X: Exchange> Trainer for RandomChoose<X> {
 
     fn set_worker_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
         self.fleet.set_active(rank, active, 2)
-    }
-
-    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        self.x.refresh_bandwidth(bw);
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {

@@ -1,6 +1,6 @@
 //! S-FedAvg: FedAvg with random-mask sparsified uploads \[5\].
 
-use crate::common::{check_compression, check_sampling, round_report, ClientPhase};
+use crate::common::{check_compression, check_sampling, ps_client_phase, ClientPhase};
 use crate::exchange::{run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use rand::rngs::StdRng;
@@ -8,9 +8,8 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use saps_compress::codec;
 use saps_compress::mask::RandomMask;
-use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
+use saps_core::{round_report, ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
-use saps_netsim::BandwidthMatrix;
 use saps_tensor::rng::{derive_seed, streams};
 
 /// Sparse FedAvg (Konečný et al.'s "random mask" structured update):
@@ -110,7 +109,7 @@ impl<X: Exchange> SFedAvg<X> {
             // sampling RNG, so the fan-out leaves the exchange
             // untouched).
             let ClientPhase { loss, acc, down } =
-                fleet.ps_client_phase(x, ctx, server, &clients, server_model, local_steps)?;
+                ps_client_phase(fleet, x, ctx, server, &clients, server_model, local_steps)?;
             let steps = (clients.len() * local_steps) as f64;
 
             // Sparse uploads over *per-client* random masks ([5]'s
@@ -175,10 +174,6 @@ impl<X: Exchange> Trainer for SFedAvg<X> {
 
     fn set_worker_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
         self.fleet.set_active(rank, active, 2)
-    }
-
-    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        self.x.refresh_bandwidth(bw);
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {

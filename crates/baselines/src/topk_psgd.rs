@@ -1,11 +1,11 @@
 //! TopK-PSGD: dense-convergence sparsified gradients with error feedback.
 
-use crate::common::{check_compression, round_report};
+use crate::common::check_compression;
 use crate::exchange::{mean_stats, run_round, Direct, Exchange, Node, Payload};
 use crate::Fleet;
 use saps_compress::codec;
 use saps_compress::topk::ErrorFeedbackTopK;
-use saps_core::{ConfigError, RoundCtx, RoundReport, Trainer};
+use saps_core::{round_report, ConfigError, RoundCtx, RoundReport, Trainer};
 use saps_data::Dataset;
 use saps_netsim::BandwidthMatrix;
 
@@ -25,6 +25,9 @@ pub struct TopKPsgd<X: Exchange = Direct> {
     compression: f64,
     x: X,
     rounds: u64,
+    /// The bandwidths the trainer was last told — what a joiner's donors
+    /// are ranked from (`None`: by ascending rank).
+    bw: Option<BandwidthMatrix>,
 }
 
 impl TopKPsgd {
@@ -50,6 +53,7 @@ impl<X: Exchange> TopKPsgd<X> {
             compression,
             x: fabric,
             rounds: 0,
+            bw: None,
         })
     }
 
@@ -186,7 +190,8 @@ impl<X: Exchange> Trainer for TopKPsgd<X> {
         if active {
             // Resync the joiner so replicas stay bit-identical; its stale
             // error-feedback residual is cleared with the model.
-            self.fleet.resync_joiner(&mut self.x, self.rounds, rank)?;
+            self.fleet
+                .resync_joiner(&mut self.x, self.rounds, rank, self.bw.as_ref())?;
             self.compressors[rank] =
                 ErrorFeedbackTopK::with_ratio(self.fleet.n_params(), self.compression);
         }
@@ -194,7 +199,7 @@ impl<X: Exchange> Trainer for TopKPsgd<X> {
     }
 
     fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        self.x.refresh_bandwidth(bw);
+        self.bw = Some(bw.clone());
     }
 
     fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {

@@ -16,8 +16,8 @@
 //! * any peer whose own encoded state matches the manifest serves
 //!   verified slices of it on [`Message::ChunkRequest`];
 //! * a joiner's [`DownloadScheduler`] fans the chunk requests across
-//!   multiple peers at once (ranked fastest-first from the bandwidth
-//!   snapshot), verifies every [`Message::ChunkData`] against the
+//!   multiple peers at once (in the order the driver was given them:
+//!   fastest-first from the bandwidth snapshot), verifies every [`Message::ChunkData`] against the
 //!   manifest, re-sources failed or corrupt chunks from the next peer,
 //!   and resumes after a timeout with requests unanswered.
 //!

@@ -35,8 +35,10 @@
 //! plus all envelopes) is billed to the accountant's server row. A
 //! rejoining worker catches up over the chunk plane
 //! ([`crate::DownloadScheduler`]): verified chunk downloads fanned
-//! across the in-sync peers that are reachable in the latest bandwidth
-//! snapshot, fastest first.
+//! across the in-sync peers it is offered, in the order it is offered
+//! them — who may serve, and who is preferred, is decided above the
+//! fabric ([`saps_core::Fleet::resync_joiner`]: reachable in the latest
+//! bandwidth snapshot, fastest first).
 
 use crate::chunks::{ChunkManifest, ChunkOutcome, DownloadScheduler, DEFAULT_CHUNK_BYTES};
 use crate::error::ClusterError;
@@ -66,8 +68,8 @@ const DRAIN_IDLE_SWEEPS: u32 = 25;
 pub struct ResyncReport {
     /// The worker that caught up.
     pub rank: u32,
-    /// The preferred donor (first in the bandwidth ranking; the peer
-    /// whose checkpoint defined the manifest).
+    /// The preferred donor (first of the peers offered; the peer whose
+    /// checkpoint defined the manifest).
     pub donor: u32,
     /// Total framed bytes the resync moved (requests + replies,
     /// envelopes included).
@@ -96,9 +98,6 @@ pub struct Framed<T: Transport> {
     early: Vec<(Addr, Addr, Message)>,
     /// Chunk size for joiner catch-up.
     chunk_size: u32,
-    /// The latest bandwidth snapshot, used to rank chunk-serving peers
-    /// toward a joiner (`None` ranks by ascending rank).
-    bw: Option<BandwidthMatrix>,
     /// Monotone manifest epoch across resyncs.
     resync_epoch: u64,
     /// One report per completed resync, in order.
@@ -142,7 +141,6 @@ impl<T: Transport> Framed<T> {
             round: 0,
             early: Vec::new(),
             chunk_size: DEFAULT_CHUNK_BYTES,
-            bw: None,
             resync_epoch: 0,
             resync_log: Vec::new(),
             resync_emitted: 0,
@@ -278,30 +276,13 @@ impl<T: Transport> Framed<T> {
         )))
     }
 
-    /// Serving candidates for `joiner`'s catch-up among `peers`: in the
-    /// latest bandwidth snapshot, those with a live link to the joiner,
-    /// fastest first (ascending rank on ties); all of them in the given
-    /// order when no snapshot was supplied.
-    fn rank_peers(&self, joiner: usize, peers: &[usize]) -> Vec<usize> {
-        let mut peers = peers.to_vec();
-        if let Some(bw) = &self.bw {
-            peers.retain(|&p| bw.get(p, joiner) > 0.0);
-            peers.sort_by(|&a, &b| {
-                bw.get(b, joiner)
-                    .partial_cmp(&bw.get(a, joiner))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-        }
-        peers
-    }
-
-    /// The chunked catch-up: publish the preferred donor's checkpoint
-    /// as a manifest and fan the joiner's verified chunk downloads
-    /// across every reachable in-sync peer. Lost and corrupt frames are
-    /// tolerated — the scheduler re-sources each failed chunk from the
-    /// next ranked peer until its attempt budget runs dry, at which
-    /// point the typed [`ClusterError::ResyncFailed`] surfaces.
+    /// The chunked catch-up: publish the preferred donor's (`peers[0]`)
+    /// checkpoint as a manifest and fan the joiner's verified chunk
+    /// downloads across every in-sync peer of `peers`, in the order
+    /// given. Lost and corrupt frames are tolerated — the scheduler
+    /// re-sources each failed chunk from the next peer until its attempt
+    /// budget runs dry, at which point the typed
+    /// [`ClusterError::ResyncFailed`] surfaces.
     fn download(
         &mut self,
         round: u64,
@@ -309,11 +290,10 @@ impl<T: Transport> Framed<T> {
         peers: &[usize],
         flat_of: &dyn Fn(usize) -> Vec<f32>,
     ) -> Result<Vec<f32>, ClusterError> {
-        let peers = self.rank_peers(rank, peers);
         let donor = *peers.first().ok_or_else(|| ClusterError::ResyncFailed {
             donor: rank as u32,
             rank: rank as u32,
-            detail: "no reachable live peer to resync from".into(),
+            detail: "no peer was offered to resync from".into(),
         })?;
         let blob = checkpoint::encode(&flat_of(donor), round);
         let blob_bytes = blob.len() as u64;
@@ -608,10 +588,6 @@ impl<T: Transport> Exchange for Framed<T> {
             self.telemetry.crash_dump("resync failed");
         }
         res
-    }
-
-    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        self.bw = Some(bw.clone());
     }
 
     fn announce(
@@ -1013,32 +989,20 @@ mod tests {
     }
 
     #[test]
-    fn peers_rank_by_bandwidth_toward_the_joiner() {
-        let (mut x, _) = fabric();
-        let mut bw = BandwidthMatrix::constant(4, 10.0);
-        bw.set(2, 0, 90.0);
-        bw.set(3, 0, 40.0);
-        bw.set(1, 0, 40.0);
-        x.refresh_bandwidth(&bw);
-        // Fastest toward rank 0 first; the 40 MB/s tie breaks ascending.
-        assert_eq!(x.rank_peers(0, &[1, 2, 3]), vec![2, 1, 3]);
-    }
-
-    #[test]
-    fn unreachable_peers_never_serve_a_joiner() {
-        let (mut x, _) = fabric();
-        assert_eq!(x.rank_peers(3, &[0, 1, 2]), vec![0, 1, 2], "no snapshot");
-        let mut bw = BandwidthMatrix::constant(4, 10.0);
-        bw.set(1, 3, 100.0);
-        bw.set(0, 3, 0.0);
-        x.refresh_bandwidth(&bw);
-        assert_eq!(x.rank_peers(3, &[0, 1, 2]), vec![1, 2]);
-        bw.set(1, 3, 0.0);
-        bw.set(2, 3, 0.0);
-        x.refresh_bandwidth(&bw);
+    fn resync_serves_from_the_peers_offered_in_the_order_offered() {
+        let mut x = fabric().0.with_chunk_size(8);
+        // Every peer holds the same model, so all of them serve; the
+        // first one offered — not the lowest rank — defines the manifest.
+        let flat: Vec<f32> = (0..16).map(|i| i as f32).collect();
+        let got = x.resync(4, 0, &[2, 3, 1], &|_| flat.clone()).unwrap();
+        assert_eq!(got, flat);
+        let rep = x.resync_log().last().unwrap();
+        assert_eq!((rep.rank, rep.donor), (0, 2));
+        assert_eq!(rep.sources, vec![1, 2, 3]);
+        // Nobody offered: a typed failure, not an index panic.
         let err = x
-            .resync(0, 3, &[0, 1, 2], &|_| vec![0.0; 8])
-            .expect_err("no peer is reachable");
-        assert!(matches!(err, ClusterError::ResyncFailed { rank: 3, .. }));
+            .resync(4, 0, &[], &|_| flat.clone())
+            .expect_err("no peer was offered");
+        assert!(matches!(err, ClusterError::ResyncFailed { rank: 0, .. }));
     }
 }

@@ -31,8 +31,9 @@
 //! * [`ChunkManifest`] / [`DownloadScheduler`] — the chunked
 //!   model-distribution plane: a joiner catches up by fanning
 //!   checksum-verified chunk requests across multiple peers (ranked
-//!   from the bandwidth snapshot) instead of pulling one monolithic
-//!   frame from a single donor. [`Framed`]'s `resync` is its one
+//!   from the bandwidth snapshot by [`saps_core::Fleet::resync_joiner`],
+//!   above the fabric) instead of pulling one monolithic frame from a
+//!   single donor. [`Framed`]'s `resync` is its one
 //!   driver.
 //!
 //! **The headline invariant** (pinned by `tests/cluster_conformance.rs`

@@ -1,6 +1,6 @@
 //! Model/gradient compression for the SAPS-PSGD reproduction.
 //!
-//! Four mechanisms from the paper and its baselines:
+//! Three mechanisms from the paper and its baselines:
 //!
 //! * [`mask`] — the shared-seed Bernoulli **random mask** `m_t` of
 //!   SAPS-PSGD (Section II-B, Eq. 3): every worker expands the
@@ -11,8 +11,6 @@
 //! * [`codec`] — wire encodings for sparse and dense payloads, with exact
 //!   byte accounting (the traffic numbers of Table IV and Fig. 4 come from
 //!   these sizes).
-//! * [`quantize`] — uniform stochastic quantization (QSGD-style), included
-//!   for completeness of the related-work comparisons.
 //!
 //! # Example
 //!
@@ -29,5 +27,4 @@
 
 pub mod codec;
 pub mod mask;
-pub mod quantize;
 pub mod topk;

@@ -6,7 +6,7 @@
 //! whole run is a single final model (`N`), which is where Table I's
 //! server-cost row for SAPS-PSGD comes from.
 
-use crate::{ConfigError, GossipGenerator};
+use crate::GossipGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saps_graph::{Graph, Matching};
@@ -150,31 +150,35 @@ impl Coordinator {
     }
 }
 
-/// The coordinator-side *control state* of a SAPS-PSGD deployment:
-/// which workers are active, the bandwidth snapshot peer selection plans
-/// from, and the [`Coordinator`] generating round plans over the active
-/// subset.
+/// The coordinator-side *control state* of a SAPS-PSGD deployment: the
+/// ranks peer selection plans over, the bandwidth snapshot it plans
+/// from, and the [`Coordinator`] generating round plans over that rank
+/// list.
 ///
 /// [`crate::SapsPsgd`] drives the algorithm through this one type
-/// whichever fabric carries its messages: churn requests and bandwidth
-/// reports reach it as the values the fabric delivered to the
-/// coordinator.
+/// whichever fabric carries its messages: bandwidth reports reach it as
+/// the values the fabric delivered to the coordinator, and who is
+/// active is the [`crate::Fleet`]'s to say — after churn the trainer
+/// hands over the fleet's active ranks ([`SapsControl::plan_over`]), so
+/// there is no second membership mask here that could disagree.
 #[derive(Debug, Clone)]
 pub struct SapsControl {
     coordinator: Coordinator,
-    active: Vec<bool>,
+    /// The global ranks planned over, ascending; a plan's matching
+    /// indexes into this list.
+    ranks: Vec<usize>,
     /// Bandwidth snapshot used for peer selection (refreshed on demand,
     /// mirroring the paper's "regularly reported" measurements).
     bw_snapshot: BandwidthMatrix,
 }
 
 impl SapsControl {
-    /// Creates the control state for a fully active fleet over `bw`.
-    /// `bthres`/`tthres`/`seed` are as in [`Coordinator::new`].
+    /// Creates the control state planning over every worker `bw`
+    /// covers. `bthres`/`tthres`/`seed` are as in [`Coordinator::new`].
     pub fn new(bw: &BandwidthMatrix, bthres: Option<f64>, tthres: u32, seed: u64) -> Self {
         SapsControl {
             coordinator: Coordinator::new(bw, bthres, tthres, seed),
-            active: vec![true; bw.len()],
+            ranks: (0..bw.len()).collect(),
             bw_snapshot: bw.clone(),
         }
     }
@@ -185,58 +189,27 @@ impl SapsControl {
         self.coordinator.set_shard_size(shard_size);
     }
 
-    /// Fleet size `n` (inactive workers included).
-    pub fn fleet_size(&self) -> usize {
-        self.active.len()
-    }
-
     /// The bandwidth threshold currently in effect.
     pub fn bandwidth_threshold(&self) -> f64 {
         self.coordinator.bandwidth_threshold()
     }
 
-    /// Whether worker `rank` is currently active.
-    pub fn is_active(&self, rank: usize) -> bool {
-        self.active[rank]
-    }
-
-    /// Ranks of currently active workers, ascending.
-    pub fn active_ranks(&self) -> Vec<usize> {
-        (0..self.active.len()).filter(|&r| self.active[r]).collect()
-    }
-
-    /// Marks a worker active/inactive (join/leave churn). Peer selection
-    /// is rebuilt in place over the active subset — the round counter,
-    /// the seed stream and surviving pairs' RC stamps carry on; inactive
-    /// workers keep their model and re-join where they left off.
-    ///
-    /// Fails if `rank` is out of range or deactivation would leave fewer
-    /// than two active workers.
-    pub fn set_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
-        if rank >= self.active.len() {
-            return Err(ConfigError::invalid(
-                "SapsControl",
-                format!("worker rank {rank} out of range ({})", self.active.len()),
-            ));
+    /// Plans over `ranks` from now on (join/leave churn): the fleet's
+    /// active ranks, ascending, each below the snapshot's size. Peer
+    /// selection is rebuilt in place — the round counter, the seed
+    /// stream and surviving pairs' RC stamps carry on. Handing over the
+    /// list already planned over changes nothing.
+    pub fn plan_over(&mut self, ranks: Vec<usize>) {
+        debug_assert!(ranks.windows(2).all(|w| w[0] < w[1]), "ranks ascend");
+        if ranks != self.ranks {
+            let before = std::mem::replace(&mut self.ranks, ranks);
+            self.rebuild(&before);
         }
-        if self.active[rank] == active {
-            return Ok(());
-        }
-        if !active && self.active.iter().filter(|&&a| a).count() <= 2 {
-            return Err(ConfigError::invalid(
-                "SapsControl",
-                "cannot deactivate: at least two workers must stay active",
-            ));
-        }
-        let before = self.active_ranks();
-        self.active[rank] = active;
-        self.rebuild(&before);
-        Ok(())
     }
 
     /// The latest reported bandwidth snapshot — the same measurements
-    /// peer selection plans over. [`crate::SapsPsgd::catch_up`] hands it
-    /// to the fabric, which ranks a joiner's serving peers from it.
+    /// peer selection plans over, and the ones a joiner's donors are
+    /// ranked from ([`crate::SapsPsgd::catch_up`]).
     pub fn bandwidth_snapshot(&self) -> &BandwidthMatrix {
         &self.bw_snapshot
     }
@@ -244,13 +217,13 @@ impl SapsControl {
     /// Updates the bandwidth snapshot (the paper's periodically reported
     /// speed measurements) and rebuilds peer selection in place.
     pub fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        assert_eq!(bw.len(), self.active.len());
+        assert_eq!(bw.len(), self.bw_snapshot.len());
         self.bw_snapshot = bw.clone();
-        self.rebuild(&self.active_ranks());
+        self.rebuild(&self.ranks.clone());
     }
 
-    /// Runs Algorithm 1's per-round step over the active subset: the
-    /// returned plan's matching is indexed by *active-subset position*
+    /// Runs Algorithm 1's per-round step over the planned ranks: the
+    /// returned plan's matching is indexed by *position in that list*
     /// (translate with [`SapsControl::global_pairs`]).
     pub fn begin_round(&mut self) -> RoundPlan {
         self.coordinator.begin_round()
@@ -268,23 +241,22 @@ impl SapsControl {
         self.coordinator.rounds_done()
     }
 
-    /// Translates a plan's active-subset matching into global-rank
-    /// pairs, in the matching's pair order.
+    /// Translates a plan's matching into global-rank pairs, in the
+    /// matching's pair order.
     pub fn global_pairs(&self, matching: &Matching) -> Vec<(usize, usize)> {
-        let ranks = self.active_ranks();
         matching
             .pairs()
             .iter()
-            .map(|&(ai, aj)| (ranks[ai], ranks[aj]))
+            .map(|&(ai, aj)| (self.ranks[ai], self.ranks[aj]))
             .collect()
     }
 
-    /// Re-plans the coordinator over the current active subset and
+    /// Re-plans the coordinator over the current rank list and
     /// snapshot; `before` lists the ranks it indexed until now.
     fn rebuild(&mut self, before: &[usize]) {
-        let ranks = self.active_ranks();
+        let ranks = &self.ranks;
         let m = ranks.len();
-        // Submatrix of the snapshot over the active ranks.
+        // Submatrix of the snapshot over the planned ranks.
         let mut raw = vec![0.0f64; m * m];
         for (i, &ri) in ranks.iter().enumerate() {
             for (j, &rj) in ranks.iter().enumerate() {
@@ -379,11 +351,12 @@ mod tests {
     fn churn_back_to_the_same_fleet_size_draws_fresh_seeds() {
         let bw = BandwidthMatrix::constant(8, 1.0);
         let mut control = SapsControl::new(&bw, None, 5, 7);
-        control.set_active(3, false).unwrap();
+        let without = |gone: usize| (0..8).filter(|&r| r != gone).collect();
+        control.plan_over(without(3));
         let a = control.begin_round();
-        control.set_active(3, true).unwrap();
+        control.plan_over((0..8).collect());
         let b = control.begin_round();
-        control.set_active(5, false).unwrap();
+        control.plan_over(without(5));
         let c = control.begin_round();
         assert_ne!(a.mask_seed, b.mask_seed);
         assert_ne!(b.mask_seed, c.mask_seed);
@@ -403,8 +376,8 @@ mod tests {
         let plan = (0..6).map(|_| control.begin_round()).last().unwrap();
         let (a, b) = control.global_pairs(&plan.matching)[0];
         let leaver = (0..6).find(|r| *r != a && *r != b).unwrap();
-        control.set_active(leaver, false).unwrap();
-        let ranks = control.active_ranks();
+        let ranks: Vec<usize> = (0..6).filter(|&r| r != leaver).collect();
+        control.plan_over(ranks.clone());
         let at = |r: usize| ranks.binary_search(&r).unwrap();
         let rc = control.coordinator.generator.rc_graph(6);
         assert!(rc.has_edge(at(a), at(b)), "stamp of ({a},{b}) lost");

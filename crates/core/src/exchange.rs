@@ -9,7 +9,8 @@
 //! * [`Direct`] — the in-memory fabric: a sent [`Payload`] is moved into
 //!   the receiver's inbox and handed back on `recv`, with no framing
 //!   and no copy through a byte buffer; plans, acknowledgements and
-//!   control values are handed back as they are;
+//!   control values are handed back as they are, and a joiner copies
+//!   the parameters of the first peer it is offered;
 //! * `saps_cluster::Framed` — encodes everything as a `saps-proto`
 //!   frame, pushes it through a `Transport`, and decodes and validates
 //!   it on the other side.
@@ -23,6 +24,12 @@
 //! pairs). `f32`/`f64` values survive a little-endian byte round-trip
 //! exactly, so a fabric that delivers what was sent cannot change a bit
 //! of the run.
+//!
+//! **A fabric carries; it does not decide.** Who is in the fleet, who
+//! is matched with whom and which peers may serve a joiner — and in what
+//! order — are decided above it ([`crate::Fleet`], [`crate::SapsControl`])
+//! and arrive as arguments, so the same decision reaches whichever
+//! fabric carries the run.
 //!
 //! Only a fabric fed from outside the process can fail, so the three
 //! fault hooks ([`Exchange::blamed`], [`Exchange::discard_in_flight`],
@@ -217,10 +224,13 @@ pub trait Exchange {
     /// Fetches the flat parameters a rejoining worker installs to catch
     /// up with its fleet (PSGD and TopK-PSGD, whose replicas are
     /// identical, on every rejoin; SAPS-PSGD on request). `peers` are
-    /// the workers that may serve, in ascending rank order (never
-    /// empty), and `flat_of(peer)` reads one's parameters; `round` is
-    /// the number of completed rounds. The result is one peer's
-    /// parameters exactly — which peer is the fabric's choice.
+    /// the workers that may serve, **in preference order** (never
+    /// empty) — [`crate::Fleet::resync_joiner`] decides it, above the
+    /// fabric, from the one bandwidth snapshot — and `flat_of(peer)`
+    /// reads one's parameters; `round` is the number of completed
+    /// rounds. The result is `peers[0]`'s parameters exactly; a fabric
+    /// that moves bytes may fetch pieces of them from the later peers
+    /// whose state is identical, trying them in the order given.
     fn resync(
         &mut self,
         round: u64,
@@ -228,12 +238,6 @@ pub trait Exchange {
         peers: &[usize],
         flat_of: &dyn Fn(usize) -> Vec<f32>,
     ) -> Result<Vec<f32>, Self::Error>;
-
-    /// The measured bandwidths changed. A fabric that chooses peers by
-    /// link speed (catch-up sources) re-reads them here.
-    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        let _ = bw;
-    }
 
     /// The coordinator announces `notice` to each worker in `to`;
     /// returns what each heard, in the order of `to`.
@@ -334,7 +338,7 @@ pub trait Exchange {
 /// The in-memory fabric: per-destination FIFO inboxes of [`Payload`]
 /// values. `send` moves the payload in and reports its value bytes (an
 /// in-memory link has no envelope); nothing is billed to the server
-/// row, and a joiner copies a live replica's parameters.
+/// row, and a joiner copies the first offered peer's parameters.
 #[derive(Debug, Default)]
 pub struct Direct {
     /// Inbox 0 is the coordinator's, inbox `1 + r` worker `r`'s.

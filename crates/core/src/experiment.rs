@@ -628,7 +628,8 @@ impl Experiment {
         // draining — compute that fits inside it is hidden.
         let mut prev_comm = 0.0f64;
 
-        for round in 0..self.rounds {
+        let mut failed = None;
+        'rounds: for round in 0..self.rounds {
             // Discrete events scheduled before this round. A failing
             // event (e.g. churn below an algorithm's minimum fleet) ends
             // the run as an error — but only after flushing observers, so
@@ -671,24 +672,11 @@ impl Experiment {
                     );
                 }
                 if let Err(e) = applied {
-                    let partial = RunHistory {
-                        algorithm: trainer.name().to_string(),
-                        final_acc: last_acc,
-                        total_worker_traffic_mb: to_mb(traffic.max_worker_total()),
-                        total_server_traffic_mb: to_mb(traffic.server_total()),
-                        total_comm_time_s: time_s,
-                        total_compute_time_s: compute_s,
-                        total_idle_time_s: idle_s,
-                        wall_time_s: started.elapsed().as_secs_f64(),
-                        points,
-                    };
-                    for obs in &mut self.observers {
-                        obs.on_complete(&partial);
-                    }
-                    return Err(ConfigError::invalid(
+                    failed = Some(ConfigError::invalid(
                         "Experiment",
                         format!("event at round {round} failed: {e} ({ev:?})"),
                     ));
+                    break 'rounds;
                 }
                 next_event += 1;
             }
@@ -838,7 +826,7 @@ impl Experiment {
         for obs in &mut self.observers {
             obs.on_complete(&history);
         }
-        Ok(history)
+        failed.map_or(Ok(history), Err)
     }
 }
 

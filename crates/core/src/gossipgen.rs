@@ -150,7 +150,8 @@ impl GossipGenerator {
         // Line 1: if the RC edges still form a connected graph, match for
         // bandwidth; otherwise match over bridge edges that reconnect the
         // stale components (lines 3-4).
-        let candidate = if connectivity::is_connected(&rc) {
+        let rc_healthy = connectivity::is_connected(&rc);
+        let candidate = if rc_healthy {
             self.bstar.clone()
         } else {
             let bridges = connectivity::bridge_graph(&rc, &self.full);
@@ -165,7 +166,6 @@ impl GossipGenerator {
         // Line 5: RandomlyMaxMatch over the candidate edges (or, for the
         // GreedyWeight extension on healthy rounds, the heaviest-first
         // greedy matching over the raw bandwidths).
-        let rc_healthy = connectivity::is_connected(&rc);
         let mut match_ = if self.strategy == PeerStrategy::GreedyWeight && rc_healthy {
             matching::greedy_weight_matching(self.n, &self.weights)
         } else if let Some(s) = self.shard_size {

@@ -15,6 +15,11 @@
 //! * [`SapsPsgd`] — the full algorithm wired into the [`Trainer`]
 //!   interface shared with every baseline, its one round body generic
 //!   over the fabric that carries plans, payloads and acknowledgements;
+//! * [`Fleet`] — the worker set under all eight trainers: identically
+//!   seeded replicas, the membership mask, the local-SGD fan-out, model
+//!   averaging, evaluation, and a joiner's resync with its donor
+//!   ranking. SAPS-PSGD and every baseline are `fleet + fabric + rounds
+//!   + their own state`;
 //! * [`Exchange`] — that fabric: typed [`Payload`]s between workers,
 //!   the coordinator's [`Notice`], the "ROUND END" [`Ack`]s and the
 //!   between-round control values. [`Direct`] hands them over in memory;
@@ -65,6 +70,7 @@ mod coordinator;
 mod error;
 mod exchange;
 pub mod experiment;
+mod fleet;
 mod gossipgen;
 mod registry;
 mod scenario;
@@ -78,6 +84,7 @@ pub use exchange::{Ack, Direct, Exchange, Node, Notice, Payload, Shape};
 pub use experiment::{
     CsvSink, Experiment, HistoryPoint, PartitionStrategy, RoundObserver, RunHistory,
 };
+pub use fleet::{round_report, select_ranked_mut, Fleet};
 pub use gossipgen::{GossipGenerator, PeerStrategy};
 pub use registry::{register_saps, AlgorithmRegistry, BuildCtx, BuilderFn, ModelFactory};
 pub use saps_netsim::{RoundTiming, TimeModel};

@@ -3,14 +3,14 @@
 //! coordinator's plan, the workers' masked payloads and their
 //! acknowledgements.
 
-use crate::exchange::{Ack, Direct, Exchange, Node, Notice, Payload};
+use crate::exchange::{Direct, Exchange, Node, Notice, Payload};
+use crate::fleet::{round_report, Fleet};
 use crate::{ConfigError, RoundCtx, RoundReport, SapsControl, Trainer, Worker, WorkerState};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use saps_compress::codec;
 use saps_compress::mask::RandomMask;
 use saps_data::{partition, Dataset};
-use saps_netsim::{BandwidthMatrix, RoundTiming};
+use saps_netsim::BandwidthMatrix;
 use saps_nn::Model;
 use saps_tensor::rng::{derive_seed, streams};
 use std::any::TypeId;
@@ -98,67 +98,6 @@ impl SapsConfig {
     }
 }
 
-/// Builds the worker fleet plus the shared evaluation replica from the
-/// per-worker data partitions: every model replica (and the evaluation
-/// model) is constructed from an identically seeded RNG so all replicas
-/// start equal (`‖X_0 − X̄_0‖² = 0`), and worker `rank` derives its
-/// private batch-sampling stream from `(seed, rank)`.
-fn build_replicas(
-    parts: Vec<Dataset>,
-    seed: u64,
-    factory: impl Fn(&mut StdRng) -> Model,
-) -> (Vec<Worker>, Model) {
-    let make_model = || {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, 0, streams::INIT));
-        factory(&mut rng)
-    };
-    let workers: Vec<Worker> = parts
-        .into_iter()
-        .enumerate()
-        .map(|(rank, data)| Worker::new(rank, make_model(), data, seed))
-        .collect();
-    (workers, make_model())
-}
-
-/// Assembles a round's [`RoundReport`]: the per-worker `f32` training
-/// statistics the coordinator received (ascending rank) summed in `f64`,
-/// the link mean / min over the plan-ordered pairs, and the priced
-/// timing.
-fn round_report(
-    acks: &[Ack],
-    pairs: &[(usize, usize)],
-    bw: &BandwidthMatrix,
-    timing: &RoundTiming,
-    batch_size: usize,
-    mean_partition_len: f64,
-) -> RoundReport {
-    let mut loss_acc = 0.0f64;
-    let mut acc_acc = 0.0f64;
-    for &(_, (l, a)) in acks {
-        loss_acc += l as f64;
-        acc_acc += a as f64;
-    }
-    let mut link_bw_sum = 0.0f64;
-    let mut link_bw_min = f64::INFINITY;
-    for &(ri, rj) in pairs {
-        link_bw_sum += bw.get(ri, rj);
-        link_bw_min = link_bw_min.min(bw.get(ri, rj));
-    }
-    let workers = acks.len().max(1) as f64;
-    let mut rep = RoundReport::new();
-    rep.mean_loss = (loss_acc / workers) as f32;
-    rep.mean_acc = (acc_acc / workers) as f32;
-    rep.set_timing(timing);
-    rep.epochs_advanced = batch_size as f64 / mean_partition_len.max(1.0);
-    rep.mean_link_bandwidth = if pairs.is_empty() {
-        0.0
-    } else {
-        link_bw_sum / pairs.len() as f64
-    };
-    rep.min_link_bandwidth = if pairs.is_empty() { 0.0 } else { link_bw_min };
-    rep
-}
-
 /// The shared-seed mask `m_t` (Algorithm 2 line 6). Every worker
 /// derives it from the `(s, t)` of the notice *it* heard; the index
 /// buffer is regenerated in place, and only when a notice names another
@@ -178,39 +117,6 @@ impl RoundMask {
             self.derived_from = Some(key);
         }
         &self.mask
-    }
-}
-
-/// The mean of flat models: an `f32` sum in the order they are added
-/// (ascending rank at both call sites), then one scale.
-struct MeanModel {
-    sum: Vec<f32>,
-    count: usize,
-}
-
-impl MeanModel {
-    fn new(n_params: usize) -> Self {
-        MeanModel {
-            sum: vec![0.0; n_params],
-            count: 0,
-        }
-    }
-
-    fn add(&mut self, model: &[f32]) {
-        assert_eq!(model.len(), self.sum.len(), "flat parameter size");
-        for (a, v) in self.sum.iter_mut().zip(model) {
-            *a += v;
-        }
-        self.count += 1;
-    }
-
-    fn finish(mut self) -> Vec<f32> {
-        assert!(self.count > 0, "no active workers");
-        let inv = 1.0 / self.count as f32;
-        for a in &mut self.sum {
-            *a *= inv;
-        }
-        self.sum
     }
 }
 
@@ -235,9 +141,7 @@ impl MeanModel {
 pub struct SapsPsgd<X: Exchange = Direct> {
     cfg: SapsConfig,
     control: SapsControl,
-    workers: Vec<Worker>,
-    eval_model: Model,
-    n_params: usize,
+    fleet: Fleet,
     mask: RoundMask,
     /// Ranks expelled by byzantine recovery; they take no part in any
     /// later round and cannot rejoin.
@@ -249,7 +153,7 @@ impl<X: Exchange> std::fmt::Debug for SapsPsgd<X> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SapsPsgd")
             .field("cfg", &self.cfg)
-            .field("n_params", &self.n_params)
+            .field("fleet", &self.fleet)
             .finish()
     }
 }
@@ -318,20 +222,17 @@ impl<X: Exchange> SapsPsgd<X> {
                 ),
             ));
         }
-        let (workers, eval_model) = build_replicas(parts, cfg.seed, factory);
-        let n_params = eval_model.num_params();
+        let fleet = Fleet::with_partitions(parts, factory, cfg.seed, cfg.batch_size, cfg.lr)?;
         let mut control = SapsControl::new(bw, cfg.bthres, cfg.tthres, cfg.seed);
         control.set_shard_size(cfg.shard_size);
         Ok(SapsPsgd {
             cfg,
             control,
-            workers,
-            eval_model,
-            n_params,
             mask: RoundMask {
-                mask: RandomMask::from_indices(n_params, Vec::new()),
+                mask: RandomMask::from_indices(fleet.n_params(), Vec::new()),
                 derived_from: None,
             },
+            fleet,
             quarantined: BTreeSet::new(),
             x: fabric,
         })
@@ -354,32 +255,28 @@ impl<X: Exchange> SapsPsgd<X> {
 
     /// Direct access to a worker (tests, churn experiments).
     pub fn worker(&self, rank: usize) -> &Worker {
-        &self.workers[rank]
+        self.fleet.worker(rank)
     }
 
     /// Overwrites one worker's model from a flat parameter vector —
     /// restoring from a [`crate::checkpoint`], or re-seeding a joiner
     /// with the current consensus model.
     pub fn set_worker_model(&mut self, rank: usize, flat: &[f32]) {
-        assert_eq!(flat.len(), self.n_params, "flat parameter size");
-        self.workers[rank].set_flat(flat);
+        assert_eq!(flat.len(), self.fleet.n_params(), "flat parameter size");
+        self.fleet.worker_mut(rank).set_flat(flat);
     }
 
     /// Marks a worker active/inactive (join/leave churn): the request
-    /// crosses the fabric to the coordinator, which rebuilds peer
-    /// selection over the active subset. Inactive workers keep their
-    /// model and re-join where they left off.
+    /// crosses the fabric to the coordinator, which applies what it
+    /// received to the fleet's membership and replans peer selection
+    /// over the active subset. Inactive workers keep their model and
+    /// re-join where they left off.
     ///
-    /// Fails — before anything is put on the fabric — if `rank` is out
-    /// of range or quarantined, and if deactivation would leave fewer
-    /// than two active workers.
+    /// A quarantined rank is refused before anything is put on the
+    /// fabric; the coordinator refuses a rank that is out of range and a
+    /// deactivation that would leave fewer than two active workers
+    /// ([`Fleet::set_active`]).
     pub fn set_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
-        if rank >= self.workers.len() {
-            return Err(ConfigError::invalid(
-                "SapsPsgd",
-                format!("worker rank {rank} out of range ({})", self.workers.len()),
-            ));
-        }
         if self.quarantined.contains(&rank) {
             return Err(ConfigError::invalid(
                 "SapsPsgd",
@@ -393,14 +290,16 @@ impl<X: Exchange> SapsPsgd<X> {
             .x
             .membership(rank, active)
             .map_err(|e| ConfigError::invalid("SapsPsgd", e.to_string()))?;
-        self.control.set_active(rank, active)
+        self.fleet.set_active(rank, active, 2)?;
+        self.control.plan_over(self.fleet.active_ranks());
+        Ok(())
     }
 
     /// Updates the coordinator's bandwidth snapshot (the paper's
     /// periodically reported speed measurements) with the report that
     /// crossed the fabric, and rebuilds peer selection.
     pub fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        assert_eq!(bw.len(), self.workers.len());
+        assert_eq!(bw.len(), self.fleet.len());
         let reported = self
             .x
             .report_bandwidth(bw)
@@ -410,7 +309,7 @@ impl<X: Exchange> SapsPsgd<X> {
 
     /// Ranks of currently active workers.
     pub fn active_ranks(&self) -> Vec<usize> {
-        self.control.active_ranks()
+        self.fleet.active_ranks()
     }
 
     /// Ranks expelled by byzantine recovery, ascending.
@@ -422,11 +321,7 @@ impl<X: Exchange> SapsPsgd<X> {
     /// from the workers (diagnostics; what the *coordinator* averages
     /// is [`SapsPsgd::consensus_model`]).
     pub fn average_model(&self) -> Vec<f32> {
-        let mut mean = MeanModel::new(self.n_params);
-        for r in self.active_ranks() {
-            mean.add(&self.workers[r].flat());
-        }
-        mean.finish()
+        self.fleet.average_model()
     }
 
     /// The consensus (average) model as the coordinator computes it:
@@ -435,12 +330,9 @@ impl<X: Exchange> SapsPsgd<X> {
     /// order.
     pub fn consensus_model(&mut self) -> Result<Vec<f32>, X::Error> {
         let stamp = self.control.rounds_done();
-        let mut mean = MeanModel::new(self.n_params);
-        for rank in self.active_ranks() {
-            let flat = self.workers[rank].flat();
-            mean.add(&self.x.collect_model(rank, stamp, flat)?);
-        }
-        Ok(mean.finish())
+        let x = &mut self.x;
+        self.fleet
+            .average_model_via(|rank, flat| x.collect_model(rank, stamp, flat))
     }
 
     /// Squared consensus distance `Σ_i ‖x_i − x̄‖²` over active workers —
@@ -449,7 +341,7 @@ impl<X: Exchange> SapsPsgd<X> {
         let avg = self.average_model();
         let mut total = 0.0f64;
         for &r in &self.active_ranks() {
-            let f = self.workers[r].flat();
+            let f = self.worker(r).flat();
             total += f
                 .iter()
                 .zip(&avg)
@@ -459,31 +351,16 @@ impl<X: Exchange> SapsPsgd<X> {
         total
     }
 
-    /// Brings (re)joined worker `rank` up to the fleet: the fabric
-    /// fetches an active peer's parameters — a copy of the lowest
-    /// active rank's in memory; on a wire a chunked, checksum-verified,
-    /// retrying download from the fastest reachable peer and every
-    /// peer whose state matches it (so a caught-up joiner serves the
-    /// next one) — and the worker installs them.
-    pub fn catch_up(&mut self, rank: usize) -> Result<(), X::Error> {
-        let peers: Vec<usize> = self
-            .active_ranks()
-            .into_iter()
-            .filter(|&r| r != rank)
-            .collect();
-        // The fabric ranks serving peers from the coordinator's current
-        // snapshot; it is handed over only here, where it is needed.
-        self.x.refresh_bandwidth(self.control.bandwidth_snapshot());
-        let workers = &self.workers;
-        let flat = self
-            .x
-            .resync(self.control.rounds_done(), rank, &peers, &|r| {
-                workers[r].flat()
-            })?;
-        let joiner = &mut self.workers[rank];
-        joiner.set_flat(&flat);
-        joiner.model_mut().zero_grads();
-        Ok(())
+    /// Brings (re)joined worker `rank` up to the fleet
+    /// ([`Fleet::resync_joiner`]): the serving peers are ranked from
+    /// the coordinator's current bandwidth snapshot — reachable links
+    /// only, fastest first — and the fabric fetches the first one's
+    /// parameters, which the worker installs. The donor is the same on
+    /// every fabric.
+    pub fn catch_up(&mut self, rank: usize) -> Result<(), ConfigError> {
+        let round = self.control.rounds_done();
+        let bw = self.control.bandwidth_snapshot();
+        self.fleet.resync_joiner(&mut self.x, round, rank, Some(bw))
     }
 
     /// One attempt at a round: Algorithm 1's plan, Algorithm 2 on every
@@ -494,14 +371,13 @@ impl<X: Exchange> SapsPsgd<X> {
         let SapsPsgd {
             cfg,
             control,
-            workers,
+            fleet,
             mask,
             x,
-            n_params,
             ..
         } = self;
-        let (n_params, c) = (*n_params, cfg.compression);
-        let ranks = control.active_ranks();
+        let (n_params, c) = (fleet.n_params(), cfg.compression);
+        let ranks = fleet.active_ranks();
         let plan = control.begin_round();
         // The matching is over active-subset indices; translate to
         // global ranks.
@@ -521,13 +397,7 @@ impl<X: Exchange> SapsPsgd<X> {
         // compute phase, fanned out across the round executor. Each
         // worker owns its model/data/RNG, and the results are reduced in
         // rank order, so any thread count yields identical numbers.
-        let (bs, lr) = (cfg.batch_size, cfg.lr);
-        let step_workers: Vec<&mut Worker> = workers
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(r, w)| control.is_active(r).then_some(w))
-            .collect();
-        let stats = ctx.exec.par_map(step_workers, |_, w| w.sgd_step(bs, lr));
+        let stats = fleet.sgd_step_all_on(&ctx.exec);
 
         // `(worker, the mate its notice names, that notice)` in plan
         // order — the order transfers are priced in.
@@ -548,7 +418,7 @@ impl<X: Exchange> SapsPsgd<X> {
         for &(src, dst, heard) in &matched {
             let mask = mask.of(n_params, c, heard);
             let mut values = Vec::with_capacity(mask.nnz());
-            workers[src].sparse_payload_into(mask, &mut values);
+            fleet.worker_mut(src).sparse_payload_into(mask, &mut values);
             billed.push((src, dst, codec::sparse_shared_mask_bytes(values.len())));
             let on_link = x.send(src, Node::Worker(dst), Payload::Masked(values))?;
             priced.push((src, dst, on_link));
@@ -558,26 +428,44 @@ impl<X: Exchange> SapsPsgd<X> {
         for &(at, from, heard) in &matched {
             let mask = mask.of(n_params, c, heard);
             let theirs = x.recv_masked(Node::Worker(at), from, mask.nnz())?;
-            workers[at].merge_sparse(mask, &theirs);
+            fleet.worker_mut(at).merge_sparse(mask, &theirs);
         }
 
-        // "ROUND END": every active worker reports its batch statistics;
-        // the coordinator folds what it received, ascending rank.
-        let acks = x.acknowledge(ranks.iter().copied().zip(stats).collect())?;
+        // "ROUND END": every active worker reports its batch statistics
+        // (the `f32`s it computed — widening them was exact) and the
+        // coordinator folds what it received, ascending rank, in `f64`.
+        let acks = stats
+            .into_iter()
+            .map(|(r, (loss, acc))| (r, (loss as f32, acc as f32)))
+            .collect();
+        let acks = x.acknowledge(acks)?;
+        let (mut loss, mut acc) = (0.0f64, 0.0f64);
+        for &(_, (l, a)) in &acks {
+            loss += l as f64;
+            acc += a as f64;
+        }
+        let reported = acks.len().max(1) as f64;
 
         for (src, dst, value_bytes) in billed {
             ctx.traffic.record_p2p(src, dst, value_bytes);
         }
         let timing = ctx.price_p2p(&priced);
-        let mean_part = ranks.iter().map(|&r| workers[r].data_len()).sum::<usize>() as f64
-            / ranks.len().max(1) as f64;
+        // Link mean / min over the plan-ordered pairs.
+        let (mut link_sum, mut link_min) = (0.0f64, f64::INFINITY);
+        for &(a, b) in &pairs {
+            link_sum += ctx.bw.get(a, b);
+            link_min = link_min.min(ctx.bw.get(a, b));
+        }
+        let links = if pairs.is_empty() {
+            (0.0, 0.0)
+        } else {
+            (link_sum / pairs.len() as f64, link_min)
+        };
         Ok(round_report(
-            &acks,
-            &pairs,
-            ctx.bw,
+            ((loss / reported) as f32, (acc / reported) as f32),
             &timing,
-            cfg.batch_size,
-            mean_part,
+            fleet.epochs_per_round(),
+            links,
         ))
     }
 
@@ -592,7 +480,7 @@ impl<X: Exchange> SapsPsgd<X> {
         loop {
             let saved: Vec<(usize, WorkerState)> = if fallible {
                 let active = self.active_ranks().into_iter();
-                active.map(|r| (r, self.workers[r].save_state())).collect()
+                active.map(|r| (r, self.worker(r).save_state())).collect()
             } else {
                 Vec::new()
             };
@@ -617,10 +505,10 @@ impl<X: Exchange> SapsPsgd<X> {
             );
             ctx.telemetry.crash_dump("byzantine quarantine");
             for (r, state) in &saved {
-                self.workers[*r].rollback(state);
+                self.fleet.worker_mut(*r).rollback(state);
             }
             self.control.abort_round();
-            self.x.discard_in_flight(self.workers.len())?;
+            self.x.discard_in_flight(self.fleet.len())?;
             // The aborted plan is taken back and the offender expelled
             // through the normal churn path, so the rebuilt
             // peer-selection state is the one a graceful leave produces.
@@ -646,16 +534,15 @@ impl<X: Exchange> Trainer for SapsPsgd<X> {
         let avg = self
             .consensus_model()
             .unwrap_or_else(|e| panic!("model collection failed: {e}"));
-        self.eval_model.set_flat_params(&avg);
-        self.eval_model.evaluate(val, max_samples)
+        self.fleet.evaluate_flat(&avg, val, max_samples)
     }
 
     fn model_len(&self) -> usize {
-        self.n_params
+        self.fleet.n_params()
     }
 
     fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.fleet.len()
     }
 
     fn set_worker_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {

@@ -24,8 +24,9 @@
 //!    sourcing chunks from at least two distinct peers (CI runs it as a
 //!    dedicated step).
 //! 6. **Severed links are not fetched across** — the serving peers are
-//!    ranked from the *current* bandwidths, and a peer whose link to the
-//!    joiner is down serves nothing.
+//!    ranked from the *current* bandwidths, above the fabric (so the
+//!    donor is the same in memory and on a wire), and a peer whose link
+//!    to the joiner is down serves nothing.
 
 use saps::baselines::{Direct, Exchange, Fleet, PsgdAllReduce};
 use saps::cluster::{
@@ -239,6 +240,66 @@ fn saps_joiner_catches_up_from_published_epoch() {
     for r in 0..workers {
         assert_eq!(clu.worker(r).flat(), mem.worker(r).flat(), "worker {r}");
     }
+}
+
+/// Donor choice is above the fabric: over heterogeneous links with the
+/// link from the lowest active rank to the joiner severed, a SAPS-PSGD
+/// catch-up lands on the *fastest reachable* peer's parameters on both
+/// fabrics — bit-equal — and the severed peer serves nothing. (When the
+/// fabric chose, `Direct` copied the lowest active rank: rank 0, across
+/// the dead link.)
+#[test]
+fn saps_catch_up_picks_the_same_donor_on_both_fabrics() {
+    let workers = 5;
+    let joiner = 4;
+    let mut bw = BandwidthMatrix::constant(workers, 10.0);
+    bw.set(0, joiner, 0.0);
+    bw.set(1, joiner, 25.0);
+    bw.set(2, joiner, 90.0);
+    bw.set(3, joiner, 40.0);
+    let cfg = SapsConfig {
+        workers,
+        compression: 4.0,
+        lr: 0.1,
+        batch_size: 16,
+        bthres: None,
+        tthres: 5,
+        seed: SEED,
+        shard_size: None,
+    };
+    let fabric = Framed::loopback(WireTap::new()).with_chunk_size(CHUNK);
+    let mut clu = SapsPsgd::over(cfg.clone(), parts(workers), &bw, model, fabric).unwrap();
+    let mut mem = SapsPsgd::with_partitions(cfg, parts(workers), &bw, model).unwrap();
+    for round in 0..5 {
+        if round == 3 {
+            clu.set_worker_active(joiner, false).unwrap();
+            mem.set_worker_active(joiner, false).unwrap();
+        }
+        let on_wire = step(&mut clu, round, &bw);
+        let in_memory = step(&mut mem, round, &bw);
+        assert_eq!(on_wire.to_bits(), in_memory.to_bits(), "round {round}");
+    }
+    clu.set_worker_active(joiner, true).unwrap();
+    mem.set_worker_active(joiner, true).unwrap();
+    clu.catch_up(joiner).unwrap();
+    mem.catch_up(joiner).unwrap();
+
+    // Local SGD has driven the replicas apart, so the parameters the
+    // joiner holds name its donor.
+    let fastest = mem.worker(2).flat();
+    assert_ne!(fastest, mem.worker(0).flat());
+    assert_eq!(mem.worker(joiner).flat(), fastest, "in memory");
+    assert_eq!(clu.worker(joiner).flat(), fastest, "on the wire");
+    let rep = clu.fabric().resync_log().last().unwrap();
+    assert_eq!((rep.rank, rep.donor), (joiner as u32, 2));
+    assert!(
+        !rep.sources.contains(&0),
+        "rank 0 served across its severed link: {:?}",
+        rep.sources
+    );
+    // Both fleets train on as one.
+    let on_wire = step(&mut clu, 5, &bw);
+    assert_eq!(on_wire.to_bits(), step(&mut mem, 5, &bw).to_bits());
 }
 
 /// A wire that drops and corrupts chunk frames: every lost piece is
