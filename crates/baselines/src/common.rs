@@ -1,9 +1,11 @@
 //! Shared scaffolding for baseline algorithms over the worker
 //! [`Fleet`] of `saps-core`: constructor checks, ring link statistics
-//! and the parameter-server client phase.
+//! and the parameter-server client sampling and phase.
 
 use crate::exchange::{reduce_stats, Exchange, Node, Payload, WorkerStats};
 use crate::Fleet;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use saps_compress::codec;
 use saps_core::{ConfigError, RoundCtx};
 use saps_graph::topology;
@@ -32,17 +34,6 @@ pub(crate) fn check_compression(what: &'static str, c: f64) -> Result<(), Config
     ))
 }
 
-/// Constructor check: a ring needs at least 3 workers.
-pub(crate) fn check_ring(what: &'static str, fleet: &Fleet) -> Result<(), ConfigError> {
-    if fleet.len() >= 3 {
-        return Ok(());
-    }
-    Err(ConfigError::invalid(
-        what,
-        format!("a ring needs at least 3 workers, got {}", fleet.len()),
-    ))
-}
-
 /// Constructor check: client sampling takes a fraction in `(0, 1]` of
 /// the fleet through at least one local step.
 pub(crate) fn check_sampling(
@@ -60,6 +51,17 @@ pub(crate) fn check_sampling(
         return Err(ConfigError::invalid(what, "local_steps must be >= 1"));
     }
     Ok(())
+}
+
+/// This round's clients: a `participation` share (at least one) of the
+/// active workers, drawn by shuffling them with `rng`, in drawn order.
+pub(crate) fn sample_clients(fleet: &Fleet, participation: f64, rng: &mut StdRng) -> Vec<usize> {
+    let mut ranks = fleet.active_ranks();
+    let m = ranks.len();
+    let k = ((m as f64 * participation).round() as usize).clamp(1, m);
+    ranks.shuffle(rng);
+    ranks.truncate(k);
+    ranks
 }
 
 /// `(mean, min)` bandwidth over the links of the ring through `ranks`.

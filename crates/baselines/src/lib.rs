@@ -1,29 +1,30 @@
-//! The seven comparison algorithms of the paper's evaluation, all behind
-//! the shared [`saps_core::Trainer`] interface:
+//! The seven comparison algorithms of the paper's evaluation, each an
+//! [`Algorithm`] run by `saps-core`'s [`Rounds`] behind the
+//! [`saps_core::Trainer`] interface:
 //!
-//! | Type | Algorithms |
-//! |------|-----------|
-//! | centralized, dense | [`PsgdAllReduce`] (all-reduce PSGD), [`FedAvg`] |
-//! | centralized, sparse | [`TopKPsgd`], [`SFedAvg`] |
-//! | decentralized, dense | [`DPsgd`] (ring) |
-//! | decentralized, sparse | [`DcdPsgd`] (ring + difference compression), [`RandomChoose`] (SAPS without bandwidth awareness) |
+//! | Type | Trainer (`Rounds<algorithm>`) | Algorithm |
+//! |------|-------------------------------|-----------|
+//! | centralized, dense | [`PsgdAllReduce`] (all-reduce PSGD), [`FedAvg`] | [`RingAllReduce`], [`ParameterServer`] |
+//! | centralized, sparse | [`TopKPsgd`], [`SFedAvg`] | [`TopKAllgather`], [`SparseParameterServer`] |
+//! | decentralized, dense | [`DPsgd`] (ring) | [`RingGossip`] |
+//! | decentralized, sparse | [`DcdPsgd`] (ring + difference compression), [`RandomChoose`] (SAPS without bandwidth awareness) | [`RingDiffGossip`], [`RandomPeers`] |
 //!
 //! Every implementation charges its real payload bytes to the
 //! [`saps_netsim::TrafficAccountant`] and computes round time from the
 //! bandwidth matrix, so Figs. 4-6 and Table IV compare like for like.
 //!
-//! **One implementation, any fabric.** Each trainer is generic over an
-//! [`Exchange`] — the small send/receive interface for typed
+//! **One implementation, any fabric.** Each round body is generic over
+//! an [`Exchange`] — the small send/receive interface for typed
 //! [`Payload`]s that `saps-core` defines (SAPS-PSGD is written against
 //! it too) and this crate re-exports — and every value a worker
 //! consumes from a peer is the value the fabric delivered to it.
-//! [`Direct`] (the default) hands values over in memory;
-//! `saps_cluster::Framed` carries the same trainers over real
-//! `saps-proto` frames. There is no second, wire-side
-//! copy of any algorithm, so a wire run is bit-identical to an
-//! in-memory run by construction: `PsgdAllReduce::new(fleet)` and
-//! `PsgdAllReduce::over(fleet, Framed::loopback(tap))` are the same
-//! code.
+//! [`Direct`] hands values over in memory; `saps_cluster::Framed`
+//! carries the same rounds over real `saps-proto` frames. There is no
+//! second, wire-side copy of any algorithm, so a wire run is
+//! bit-identical to an in-memory run by construction:
+//! `Rounds::of(RingAllReduce::default(), fleet, Direct::new())` and
+//! `Rounds::of(RingAllReduce::default(), fleet, Framed::loopback(tap))`
+//! are the same code.
 //!
 //! Construction goes through [`registry`] — the full eight-algorithm
 //! [`saps_core::AlgorithmRegistry`] behind the
@@ -47,13 +48,13 @@ mod registry;
 mod s_fedavg;
 mod topk_psgd;
 
-pub use d_psgd::DPsgd;
-pub use dcd_psgd::DcdPsgd;
+pub use d_psgd::{DPsgd, RingGossip};
+pub use dcd_psgd::{DcdPsgd, RingDiffGossip};
 pub use exchange::{Direct, Exchange, Node, Payload, Shape};
-pub use fedavg::{FedAvg, FedAvgConfig};
-pub use psgd::PsgdAllReduce;
-pub use random_choose::RandomChoose;
+pub use fedavg::{FedAvg, FedAvgConfig, ParameterServer};
+pub use psgd::{PsgdAllReduce, RingAllReduce};
+pub use random_choose::{RandomChoose, RandomPeers};
 pub use registry::{register_baselines, registry};
-pub use s_fedavg::SFedAvg;
-pub use saps_core::{select_ranked_mut, Fleet};
-pub use topk_psgd::TopKPsgd;
+pub use s_fedavg::{SFedAvg, SparseParameterServer};
+pub use saps_core::{select_ranked_mut, Algorithm, Fleet, Rounds};
+pub use topk_psgd::{TopKAllgather, TopKPsgd};

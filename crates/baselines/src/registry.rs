@@ -12,7 +12,8 @@
 
 use crate::exchange::{Direct, Exchange};
 use crate::{
-    DPsgd, DcdPsgd, FedAvg, FedAvgConfig, Fleet, PsgdAllReduce, RandomChoose, SFedAvg, TopKPsgd,
+    Algorithm, FedAvgConfig, Fleet, ParameterServer, RandomPeers, RingAllReduce, RingDiffGossip,
+    RingGossip, Rounds, SparseParameterServer, TopKAllgather,
 };
 use saps_core::{AlgorithmRegistry, AlgorithmSpec, BuildCtx, ConfigError, Trainer};
 
@@ -63,9 +64,18 @@ fn build_baseline<X: Exchange + 'static>(
         ctx.batch_size,
         ctx.lr,
     )?;
-    Ok(match *spec {
-        AlgorithmSpec::Psgd => Box::new(PsgdAllReduce::over(fleet, x)?),
-        AlgorithmSpec::TopK { compression } => Box::new(TopKPsgd::over(fleet, compression, x)?),
+    fn boxed<A: Algorithm + 'static, X: Exchange + 'static>(
+        algo: A,
+        fleet: Fleet,
+        x: X,
+    ) -> Result<Box<dyn Trainer>, ConfigError> {
+        Ok(Box::new(Rounds::of(algo, fleet, x)?))
+    }
+    match *spec {
+        AlgorithmSpec::Psgd => boxed(RingAllReduce::default(), fleet, x),
+        AlgorithmSpec::TopK { compression } => {
+            boxed(TopKAllgather::new(&fleet, compression)?, fleet, x)
+        }
         AlgorithmSpec::FedAvg {
             participation,
             local_steps,
@@ -74,29 +84,26 @@ fn build_baseline<X: Exchange + 'static>(
                 participation,
                 local_steps,
             };
-            Box::new(FedAvg::over(fleet, cfg, seed, x)?)
+            boxed(ParameterServer::new(&fleet, cfg, seed)?, fleet, x)
         }
         AlgorithmSpec::SFedAvg {
             participation,
             local_steps,
             compression,
-        } => Box::new(SFedAvg::over(
-            fleet,
-            participation,
-            local_steps,
-            compression,
-            seed,
-            x,
-        )?),
-        AlgorithmSpec::DPsgd => Box::new(DPsgd::over(fleet, x)?),
-        AlgorithmSpec::DcdPsgd { compression } => Box::new(DcdPsgd::over(fleet, compression, x)?),
+        } => {
+            let algo =
+                SparseParameterServer::new(&fleet, participation, local_steps, compression, seed)?;
+            boxed(algo, fleet, x)
+        }
+        AlgorithmSpec::DPsgd => boxed(RingGossip, fleet, x),
+        AlgorithmSpec::DcdPsgd { compression } => {
+            boxed(RingDiffGossip::new(&fleet, compression)?, fleet, x)
+        }
         AlgorithmSpec::RandomChoose { compression } => {
-            Box::new(RandomChoose::over(fleet, compression, seed, x)?)
+            boxed(RandomPeers::new(&fleet, compression, seed)?, fleet, x)
         }
-        AlgorithmSpec::Saps { .. } => {
-            return Err(ConfigError::UnknownAlgorithm(spec.key().to_string()))
-        }
-    })
+        AlgorithmSpec::Saps { .. } => Err(ConfigError::UnknownAlgorithm(spec.key().to_string())),
+    }
 }
 
 #[cfg(test)]

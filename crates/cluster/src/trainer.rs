@@ -13,16 +13,10 @@ use saps_nn::Model;
 /// Constructor namespace for SAPS-PSGD driven as a message-passing
 /// cluster: the one [`SapsPsgd`] trainer with every plan, payload,
 /// acknowledgement and control request crossing a [`Transport`] as a
-/// `saps-proto` frame (see [`Framed`] for which call emits which frame,
-/// and `docs/PROTOCOL.md` for the byte accounting). What it returns
-/// implements [`saps_core::Trainer`], so the standard
-/// [`saps_core::Experiment`] driver runs a cluster experiment end to
-/// end; `try_step` surfaces wire faults as typed
-/// [`crate::ClusterError`]s where `step` panics.
-///
-/// Stall limit, chunk size and the resync log belong to the fabric:
-/// build one with [`Framed::new`] and hand it to [`SapsPsgd::over`] to
-/// change them.
+/// `saps-proto` frame (see [`Framed`], and `docs/PROTOCOL.md` for the
+/// byte accounting). Stall limit, chunk size and the resync log belong
+/// to the fabric: build one with [`Framed::new`] and hand it to
+/// [`SapsPsgd::over`] to change them.
 #[derive(Debug)]
 pub struct ClusterTrainer;
 

@@ -75,8 +75,8 @@ fn tcp_cluster_matches_loopback_bit_for_bit() {
     }
     for r in 0..workers {
         assert_eq!(
-            over_loopback.worker(r).flat(),
-            over_tcp.worker(r).flat(),
+            over_loopback.fleet().worker(r).flat(),
+            over_tcp.fleet().worker(r).flat(),
             "worker {r}"
         );
         assert_eq!(t_loop.worker_total(r), t_tcp.worker_total(r));

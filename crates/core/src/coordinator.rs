@@ -96,11 +96,6 @@ impl Coordinator {
         self.generator.len()
     }
 
-    /// Rounds started so far (the next plan's `round` field).
-    pub fn rounds_done(&self) -> u64 {
-        self.round
-    }
-
     /// Runs one round: generates `W_t` (Algorithm 3) and the mask seed,
     /// and advances the round counter. In the real deployment this is the
     /// broadcast to all workers; in the simulator the returned plan is
@@ -236,11 +231,6 @@ impl SapsControl {
         self.coordinator.abort_round();
     }
 
-    /// Rounds started so far (checkpoint exports stamp this counter).
-    pub fn rounds_done(&self) -> u64 {
-        self.coordinator.rounds_done()
-    }
-
     /// Translates a plan's matching into global-rank pairs, in the
     /// matching's pair order.
     pub fn global_pairs(&self, matching: &Matching) -> Vec<(usize, usize)> {
@@ -344,7 +334,7 @@ mod tests {
         let distinct: std::collections::HashSet<(u64, u64)> =
             plans.iter().map(|p| (p.round, p.mask_seed)).collect();
         assert_eq!(distinct.len(), 12);
-        assert_eq!(control.rounds_done(), 12);
+        assert_eq!(plans[11].round, 11);
     }
 
     #[test]
@@ -394,7 +384,6 @@ mod tests {
         }
         twice.begin_round();
         twice.abort_round();
-        assert_eq!(twice.rounds_done(), 7);
         // Counter, seed stream and RC stamps: the next windows agree.
         for _ in 0..12 {
             let (a, b) = (twice.begin_round(), once.begin_round());

@@ -536,6 +536,10 @@ impl Experiment {
     }
 
     /// Builds the trainer through `registry` and drives the full run.
+    /// A scenario event the trainer refuses, or a round that fails
+    /// ([`Trainer::try_step`] — a dead peer, say), ends the run as an
+    /// error, after the observers have seen the partial history and a
+    /// `run.failed` event has closed the telemetry trail.
     pub fn run(mut self, registry: &AlgorithmRegistry) -> Result<RunHistory, ConfigError> {
         self.spec.validate()?;
         let train = self
@@ -708,13 +712,18 @@ impl Experiment {
             } else {
                 Vec::new()
             };
-            let rep = {
-                let mut ctx = RoundCtx::new(round, &current, &mut traffic, self.seed)
-                    .with_executor(exec)
-                    .with_time_model(self.time_model)
-                    .with_compute_starts(starts)
-                    .with_telemetry(self.telemetry.clone());
-                trainer.step(&mut ctx)
+            let mut ctx = RoundCtx::new(round, &current, &mut traffic, self.seed)
+                .with_executor(exec)
+                .with_time_model(self.time_model)
+                .with_compute_starts(starts)
+                .with_telemetry(self.telemetry.clone());
+            let rep = match trainer.try_step(&mut ctx) {
+                Ok(rep) => rep,
+                Err(e) => {
+                    let why = format!("round {round} failed: {e}");
+                    failed = Some(ConfigError::invalid("Experiment", why));
+                    break 'rounds;
+                }
             };
             epoch += rep.epochs_advanced;
             prev_comm = rep.comm_time_s;
@@ -812,6 +821,13 @@ impl Experiment {
             }
         }
 
+        if let Some(e) = &failed {
+            // The failed exit closes the trail, at the first round
+            // without a point.
+            let round = Some(points.len() as u64);
+            self.telemetry
+                .event("run.failed", round, vec![("detail", e.to_string().into())]);
+        }
         let history = RunHistory {
             algorithm: trainer.name().to_string(),
             final_acc: last_acc,

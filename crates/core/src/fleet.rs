@@ -1,10 +1,9 @@
 //! The worker fleet every trainer is built on: `n` workers with
 //! identical initial replicas (`‖X_0 − X̄_0‖² = 0`), a first-class
 //! membership (active) mask, the per-round local-SGD fan-out, model
-//! averaging, evaluation and a joiner's resync — so SAPS-PSGD and the
-//! seven baselines of `saps-baselines` are each `fleet + fabric + rounds
-//! + their own state`, and churn is driven uniformly through the
-//! [`crate::Trainer`] interface.
+//! averaging, evaluation and a joiner's resync — the fleet
+//! [`crate::Rounds`] drives SAPS-PSGD and the seven baselines of
+//! `saps-baselines` over, so churn reaches all eight the same way.
 
 use crate::exchange::Exchange;
 use crate::{ConfigError, Executor, RoundReport, Worker};
@@ -153,11 +152,6 @@ impl Fleet {
     /// Mutable worker access.
     pub fn worker_mut(&mut self, rank: usize) -> &mut Worker {
         &mut self.workers[rank]
-    }
-
-    /// Whether `rank` is currently active.
-    pub fn is_active(&self, rank: usize) -> bool {
-        self.active[rank]
     }
 
     /// Number of active workers.
@@ -330,12 +324,6 @@ impl Fleet {
     pub fn evaluate_flat(&mut self, flat: &[f32], val: &Dataset, max_samples: usize) -> f32 {
         self.eval_model.set_flat_params(flat);
         self.eval_model.evaluate(val, max_samples)
-    }
-
-    /// Validation accuracy of the active-fleet-average model.
-    pub fn evaluate_average(&mut self, val: &Dataset, max_samples: usize) -> f32 {
-        let avg = self.average_model();
-        self.evaluate_flat(&avg, val, max_samples)
     }
 
     /// Mean *active* local-dataset size (for epoch accounting).

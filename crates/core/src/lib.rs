@@ -12,14 +12,18 @@
 //!   broadcasts `(W_t, t, seed)` and never touches model bytes;
 //! * [`Worker`] — Algorithm 2: local SGD plus the shared-seed sparse
 //!   model exchange;
-//! * [`SapsPsgd`] — the full algorithm wired into the [`Trainer`]
-//!   interface shared with every baseline, its one round body generic
-//!   over the fabric that carries plans, payloads and acknowledgements;
+//! * [`Rounds`] — the one [`Trainer`] implementation: it owns the
+//!   [`Fleet`], the fabric and the completed-round count, and drives an
+//!   [`Algorithm`] — the small trait that supplies only what differs
+//!   between algorithms (name, minimum live fleet, round body, consensus
+//!   model, membership and bandwidth hooks);
+//! * [`SapsPsgd`] — the full algorithm, [`Saps`] under [`Rounds`], its
+//!   one round body generic over the fabric that carries plans, payloads
+//!   and acknowledgements;
 //! * [`Fleet`] — the worker set under all eight trainers: identically
 //!   seeded replicas, the membership mask, the local-SGD fan-out, model
 //!   averaging, evaluation, and a joiner's resync with its donor
-//!   ranking. SAPS-PSGD and every baseline are `fleet + fabric + rounds
-//!   + their own state`;
+//!   ranking;
 //! * [`Exchange`] — that fabric: typed [`Payload`]s between workers,
 //!   the coordinator's [`Notice`], the "ROUND END" [`Ack`]s and the
 //!   between-round control values. [`Direct`] hands them over in memory;
@@ -73,6 +77,7 @@ pub mod experiment;
 mod fleet;
 mod gossipgen;
 mod registry;
+mod rounds;
 mod scenario;
 mod spec;
 mod trainer;
@@ -87,6 +92,7 @@ pub use experiment::{
 pub use fleet::{round_report, select_ranked_mut, Fleet};
 pub use gossipgen::{GossipGenerator, PeerStrategy};
 pub use registry::{register_saps, AlgorithmRegistry, BuildCtx, BuilderFn, ModelFactory};
+pub use rounds::{Algorithm, Rounds};
 pub use saps_netsim::{RoundTiming, TimeModel};
 pub use saps_runtime::{Executor, ParallelismPolicy};
 pub use saps_telemetry::{Recorder, Value as TelemetryValue};
@@ -96,4 +102,4 @@ pub use trainer::{RoundCtx, RoundReport, Trainer};
 pub use worker::{Worker, WorkerState};
 
 mod saps;
-pub use saps::{SapsConfig, SapsPsgd};
+pub use saps::{Saps, SapsConfig, SapsPsgd};

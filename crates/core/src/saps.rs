@@ -1,11 +1,12 @@
-//! SAPS-PSGD wired together: Algorithms 1 + 2 + 3 behind the [`Trainer`]
-//! interface, generic over the [`Exchange`] fabric that carries the
-//! coordinator's plan, the workers' masked payloads and their
+//! SAPS-PSGD wired together: Algorithms 1 + 2 + 3 as one [`Algorithm`]
+//! run by [`Rounds`], generic over the [`Exchange`] fabric that carries
+//! the coordinator's plan, the workers' masked payloads and their
 //! acknowledgements.
 
 use crate::exchange::{Direct, Exchange, Node, Notice, Payload};
 use crate::fleet::{round_report, Fleet};
-use crate::{ConfigError, RoundCtx, RoundReport, SapsControl, Trainer, Worker, WorkerState};
+use crate::rounds::{churn, Algorithm, Rounds};
+use crate::{ConfigError, RoundCtx, RoundReport, SapsControl, WorkerState};
 use rand::rngs::StdRng;
 use saps_compress::codec;
 use saps_compress::mask::RandomMask;
@@ -103,6 +104,7 @@ impl SapsConfig {
 /// buffer is regenerated in place, and only when a notice names another
 /// `(s, t)` than the last one asked for — once per round when everyone
 /// heard the same plan.
+#[derive(Debug)]
 struct RoundMask {
     mask: RandomMask,
     derived_from: Option<(u64, u64)>,
@@ -120,8 +122,9 @@ impl RoundMask {
     }
 }
 
-/// The SAPS-PSGD algorithm: a coordinator plus `n` workers, exchanging
-/// shared-seed sparse models over adaptively selected peers.
+/// The SAPS-PSGD trainer: a coordinator plus `n` workers, exchanging
+/// shared-seed sparse models over adaptively selected peers — the
+/// [`Saps`] algorithm run by [`Rounds`].
 ///
 /// Generic over the [`Exchange`] fabric like every baseline: with
 /// [`Direct`] (the default) plans, payloads and acknowledgements are
@@ -138,24 +141,19 @@ impl RoundMask {
 /// it. Peer selection rebuilds as a pure function of the active set, so
 /// honest workers end bit-identical to a run where the offender left
 /// gracefully.
-pub struct SapsPsgd<X: Exchange = Direct> {
-    cfg: SapsConfig,
+pub type SapsPsgd<X = Direct> = Rounds<Saps, X>;
+
+/// SAPS-PSGD's own state: the compression ratio, the coordinator's
+/// [`SapsControl`], the workers' shared-seed mask and the ranks expelled
+/// by byzantine recovery.
+#[derive(Debug)]
+pub struct Saps {
+    compression: f64,
     control: SapsControl,
-    fleet: Fleet,
     mask: RoundMask,
     /// Ranks expelled by byzantine recovery; they take no part in any
     /// later round and cannot rejoin.
     quarantined: BTreeSet<usize>,
-    x: X,
-}
-
-impl<X: Exchange> std::fmt::Debug for SapsPsgd<X> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SapsPsgd")
-            .field("cfg", &self.cfg)
-            .field("fleet", &self.fleet)
-            .finish()
-    }
 }
 
 impl SapsPsgd {
@@ -202,60 +200,24 @@ impl<X: Exchange> SapsPsgd<X> {
         fabric: X,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        if parts.len() != cfg.workers {
-            return Err(ConfigError::invalid(
-                "SapsConfig",
-                format!(
-                    "{} partitions for {} workers (need one each)",
-                    parts.len(),
-                    cfg.workers
-                ),
-            ));
-        }
-        if bw.len() != cfg.workers {
-            return Err(ConfigError::invalid(
-                "SapsConfig",
-                format!(
-                    "bandwidth matrix covers {} workers, config has {}",
-                    bw.len(),
-                    cfg.workers
-                ),
-            ));
+        let (n, n_parts, n_bw) = (cfg.workers, parts.len(), bw.len());
+        if (n_parts, n_bw) != (n, n) {
+            let why = format!("{n_parts} partitions and bandwidths over {n_bw} for {n} workers");
+            return Err(ConfigError::invalid("SapsConfig", why));
         }
         let fleet = Fleet::with_partitions(parts, factory, cfg.seed, cfg.batch_size, cfg.lr)?;
         let mut control = SapsControl::new(bw, cfg.bthres, cfg.tthres, cfg.seed);
         control.set_shard_size(cfg.shard_size);
-        Ok(SapsPsgd {
-            cfg,
+        let saps = Saps {
+            compression: cfg.compression,
             control,
             mask: RoundMask {
                 mask: RandomMask::from_indices(fleet.n_params(), Vec::new()),
                 derived_from: None,
             },
-            fleet,
             quarantined: BTreeSet::new(),
-            x: fabric,
-        })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SapsConfig {
-        &self.cfg
-    }
-
-    /// The fabric the exchanges run over.
-    pub fn fabric(&self) -> &X {
-        &self.x
-    }
-
-    /// Mutable access to the fabric (an orderly wire shutdown).
-    pub fn fabric_mut(&mut self) -> &mut X {
-        &mut self.x
-    }
-
-    /// Direct access to a worker (tests, churn experiments).
-    pub fn worker(&self, rank: usize) -> &Worker {
-        self.fleet.worker(rank)
+        };
+        Rounds::of(saps, fleet, fabric)
     }
 
     /// Overwrites one worker's model from a flat parameter vector —
@@ -266,89 +228,9 @@ impl<X: Exchange> SapsPsgd<X> {
         self.fleet.worker_mut(rank).set_flat(flat);
     }
 
-    /// Marks a worker active/inactive (join/leave churn): the request
-    /// crosses the fabric to the coordinator, which applies what it
-    /// received to the fleet's membership and replans peer selection
-    /// over the active subset. Inactive workers keep their model and
-    /// re-join where they left off.
-    ///
-    /// A quarantined rank is refused before anything is put on the
-    /// fabric; the coordinator refuses a rank that is out of range and a
-    /// deactivation that would leave fewer than two active workers
-    /// ([`Fleet::set_active`]).
-    pub fn set_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
-        if self.quarantined.contains(&rank) {
-            return Err(ConfigError::invalid(
-                "SapsPsgd",
-                format!(
-                    "worker {rank} is quarantined (expelled for byzantine traffic): \
-                     its membership cannot change"
-                ),
-            ));
-        }
-        let (rank, active) = self
-            .x
-            .membership(rank, active)
-            .map_err(|e| ConfigError::invalid("SapsPsgd", e.to_string()))?;
-        self.fleet.set_active(rank, active, 2)?;
-        self.control.plan_over(self.fleet.active_ranks());
-        Ok(())
-    }
-
-    /// Updates the coordinator's bandwidth snapshot (the paper's
-    /// periodically reported speed measurements) with the report that
-    /// crossed the fabric, and rebuilds peer selection.
-    pub fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        assert_eq!(bw.len(), self.fleet.len());
-        let reported = self
-            .x
-            .report_bandwidth(bw)
-            .unwrap_or_else(|e| panic!("bandwidth report failed: {e}"));
-        self.control.refresh_bandwidth(&reported);
-    }
-
-    /// Ranks of currently active workers.
-    pub fn active_ranks(&self) -> Vec<usize> {
-        self.fleet.active_ranks()
-    }
-
     /// Ranks expelled by byzantine recovery, ascending.
     pub fn quarantined(&self) -> Vec<u32> {
-        self.quarantined.iter().map(|&r| r as u32).collect()
-    }
-
-    /// The consensus (average) model over active workers, read straight
-    /// from the workers (diagnostics; what the *coordinator* averages
-    /// is [`SapsPsgd::consensus_model`]).
-    pub fn average_model(&self) -> Vec<f32> {
-        self.fleet.average_model()
-    }
-
-    /// The consensus (average) model as the coordinator computes it:
-    /// every active worker's model is collected through the fabric
-    /// (model-plane frames on a wire) and averaged in ascending rank
-    /// order.
-    pub fn consensus_model(&mut self) -> Result<Vec<f32>, X::Error> {
-        let stamp = self.control.rounds_done();
-        let x = &mut self.x;
-        self.fleet
-            .average_model_via(|rank, flat| x.collect_model(rank, stamp, flat))
-    }
-
-    /// Squared consensus distance `Σ_i ‖x_i − x̄‖²` over active workers —
-    /// the quantity Theorem 1 bounds.
-    pub fn consensus_distance_sq(&self) -> f64 {
-        let avg = self.average_model();
-        let mut total = 0.0f64;
-        for &r in &self.active_ranks() {
-            let f = self.worker(r).flat();
-            total += f
-                .iter()
-                .zip(&avg)
-                .map(|(a, b)| ((a - b) as f64).powi(2))
-                .sum::<f64>();
-        }
-        total
+        self.algo.quarantined.iter().map(|&r| r as u32).collect()
     }
 
     /// Brings (re)joined worker `rank` up to the fleet
@@ -358,31 +240,32 @@ impl<X: Exchange> SapsPsgd<X> {
     /// parameters, which the worker installs. The donor is the same on
     /// every fabric.
     pub fn catch_up(&mut self, rank: usize) -> Result<(), ConfigError> {
-        let round = self.control.rounds_done();
-        let bw = self.control.bandwidth_snapshot();
-        self.fleet.resync_joiner(&mut self.x, round, rank, Some(bw))
+        let bw = self.algo.control.bandwidth_snapshot();
+        self.fleet
+            .resync_joiner(&mut self.x, self.t, rank, Some(bw))
     }
+}
 
-    /// One attempt at a round: Algorithm 1's plan, Algorithm 2 on every
-    /// active worker, the "ROUND END" fold. Charges the accountant only
-    /// once every exchange succeeded, so an aborted attempt bills
-    /// nothing.
-    fn attempt(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
-        let SapsPsgd {
-            cfg,
-            control,
-            fleet,
-            mask,
-            x,
-            ..
-        } = self;
-        let (n_params, c) = (fleet.n_params(), cfg.compression);
+impl Saps {
+    /// One attempt at round `t`: Algorithm 1's plan, Algorithm 2 on
+    /// every active worker, the "ROUND END" fold. Charges the
+    /// accountant only once every exchange succeeded, so an aborted
+    /// attempt bills nothing.
+    fn attempt<X: Exchange>(
+        &mut self,
+        fleet: &mut Fleet,
+        x: &mut X,
+        t: u64,
+        ctx: &mut RoundCtx<'_>,
+    ) -> Result<RoundReport, X::Error> {
+        let (n_params, c) = (fleet.n_params(), self.compression);
+        let Saps { control, mask, .. } = self;
         let ranks = fleet.active_ranks();
         let plan = control.begin_round();
+        assert_eq!(plan.round, t, "the coordinator plans round t");
         // The matching is over active-subset indices; translate to
         // global ranks.
         let pairs = control.global_pairs(&plan.matching);
-        x.begin_round(plan.round, ctx);
 
         // Algorithm 1 line 6: NotifyWorkerToTrain(W_t, t, s). From here
         // on every worker acts on the notice *it* heard.
@@ -468,31 +351,39 @@ impl<X: Exchange> SapsPsgd<X> {
             links,
         ))
     }
+}
 
-    /// Runs one round, surfacing fabric faults as typed errors —
-    /// including the fabric's fatal form of a byzantine fault whose
-    /// offender the fleet refused to expel (it would drop below the
-    /// control plane's minimum). Each recovery shrinks the active fleet
-    /// by one, so the replay loop terminates.
-    pub fn try_step(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, X::Error> {
+impl Algorithm for Saps {
+    const NAME: &'static str = "SAPS-PSGD";
+
+    /// Round `t`, surfacing fabric faults as typed errors — including
+    /// the fabric's fatal form of a byzantine fault whose offender the
+    /// fleet refused to expel (it would drop below the control plane's
+    /// minimum). A failed attempt takes its plan back; each recovery
+    /// shrinks the active fleet by one, so the replay loop terminates.
+    fn round<X: Exchange>(
+        &mut self,
+        fleet: &mut Fleet,
+        x: &mut X,
+        t: u64,
+        ctx: &mut RoundCtx<'_>,
+    ) -> Result<RoundReport, X::Error> {
         // Only a fabric that can fail needs something to roll back to.
         let fallible = TypeId::of::<X::Error>() != TypeId::of::<Infallible>();
         loop {
             let saved: Vec<(usize, WorkerState)> = if fallible {
-                let active = self.active_ranks().into_iter();
-                active.map(|r| (r, self.worker(r).save_state())).collect()
+                let active = fleet.active_ranks().into_iter();
+                active.map(|r| (r, fleet.worker(r).save_state())).collect()
             } else {
                 Vec::new()
             };
-            let stepped = self.attempt(ctx);
-            let offender = stepped.as_ref().err().and_then(|e| self.x.blamed(e));
-            let (err, rank) = match (stepped, offender) {
-                (Err(err), Some(rank)) => (err, rank),
-                (stepped, _) => {
-                    let rep = self.x.end_round(ctx, stepped)?;
-                    ctx.traffic.end_round();
-                    return Ok(rep);
-                }
+            let err = match self.attempt(fleet, x, t, ctx) {
+                Ok(rep) => return Ok(rep),
+                Err(err) => err,
+            };
+            self.control.abort_round();
+            let Some(rank) = x.blamed(&err) else {
+                return Err(err);
             };
             // Flight-recorder contract: the quarantine event names the
             // offender, then the dump freezes it together with the
@@ -505,68 +396,104 @@ impl<X: Exchange> SapsPsgd<X> {
             );
             ctx.telemetry.crash_dump("byzantine quarantine");
             for (r, state) in &saved {
-                self.fleet.worker_mut(*r).rollback(state);
+                fleet.worker_mut(*r).rollback(state);
             }
-            self.control.abort_round();
-            self.x.discard_in_flight(self.fleet.len())?;
-            // The aborted plan is taken back and the offender expelled
-            // through the normal churn path, so the rebuilt
+            x.discard_in_flight(fleet.len())?;
+            // The aborted plan was taken back and the offender is
+            // expelled through the normal churn path, so the rebuilt
             // peer-selection state is the one a graceful leave produces.
-            if let Err(why) = self.set_active(rank, false) {
-                return Err(self.x.refused(err, &why));
+            if let Err(why) = churn(self, fleet, x, t, rank, false) {
+                return Err(x.refused(err, &why));
             }
             self.quarantined.insert(rank);
+            x.begin_round(t, ctx);
         }
     }
-}
 
-impl<X: Exchange> Trainer for SapsPsgd<X> {
-    fn name(&self) -> &'static str {
-        "SAPS-PSGD"
+    /// The average of the active workers' models as the coordinator
+    /// computes it: every one is collected through the fabric
+    /// (model-plane frames on a wire) and averaged in ascending rank
+    /// order.
+    fn consensus<X: Exchange>(
+        &self,
+        fleet: &Fleet,
+        x: &mut X,
+        t: u64,
+    ) -> Result<Vec<f32>, X::Error> {
+        fleet.average_model_via(|rank, flat| x.collect_model(rank, t, flat))
     }
 
-    fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport {
-        self.try_step(ctx)
-            .unwrap_or_else(|e| panic!("SAPS-PSGD round failed: {e}"))
+    /// A quarantined rank is refused before anything is put on the
+    /// fabric; any other request crosses it to the coordinator, which
+    /// applies what it received.
+    fn admit<X: Exchange>(
+        &mut self,
+        x: &mut X,
+        rank: usize,
+        active: bool,
+    ) -> Result<(usize, bool), ConfigError> {
+        if self.quarantined.contains(&rank) {
+            return Err(ConfigError::invalid(
+                "SapsPsgd",
+                format!(
+                    "worker {rank} is quarantined (expelled for byzantine traffic): \
+                     its membership cannot change"
+                ),
+            ));
+        }
+        x.membership(rank, active)
+            .map_err(|e| ConfigError::invalid("SapsPsgd", e.to_string()))
     }
 
-    fn evaluate(&mut self, val: &Dataset, max_samples: usize) -> f32 {
-        let avg = self
-            .consensus_model()
-            .unwrap_or_else(|e| panic!("model collection failed: {e}"));
-        self.fleet.evaluate_flat(&avg, val, max_samples)
+    /// Peer selection replans over the active subset. Inactive workers
+    /// keep their model and re-join where they left off.
+    fn on_membership<X: Exchange>(
+        &mut self,
+        fleet: &mut Fleet,
+        _: &mut X,
+        _: u64,
+        _: usize,
+        _: bool,
+    ) -> Result<(), ConfigError> {
+        self.control.plan_over(fleet.active_ranks());
+        Ok(())
     }
 
-    fn model_len(&self) -> usize {
-        self.fleet.n_params()
-    }
-
-    fn worker_count(&self) -> usize {
-        self.fleet.len()
-    }
-
-    fn set_worker_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
-        self.set_active(rank, active)
-    }
-
-    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        SapsPsgd::refresh_bandwidth(self, bw);
-    }
-
-    fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {
-        let avg = self
-            .consensus_model()
-            .map_err(|e| ConfigError::invalid("SapsPsgd", e.to_string()))?;
-        Ok(crate::checkpoint::encode(&avg, self.control.rounds_done()).to_vec())
+    /// The coordinator's bandwidth snapshot (the paper's periodically
+    /// reported speed measurements) becomes the report that crossed the
+    /// fabric, and peer selection rebuilds.
+    fn on_bandwidth<X: Exchange>(&mut self, x: &mut X, bw: &BandwidthMatrix) {
+        assert_eq!(bw.len(), self.control.bandwidth_snapshot().len());
+        let reported = x
+            .report_bandwidth(bw)
+            .unwrap_or_else(|e| panic!("bandwidth report failed: {e}"));
+        self.control.refresh_bandwidth(&reported);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Trainer;
     use saps_data::SyntheticSpec;
     use saps_netsim::TrafficAccountant;
     use saps_nn::zoo;
+
+    /// Squared consensus distance `Σ_i ‖x_i − x̄‖²` over active workers —
+    /// the quantity Theorem 1 bounds.
+    fn consensus_distance_sq(algo: &SapsPsgd) -> f64 {
+        let avg = algo.fleet().average_model();
+        let mut total = 0.0f64;
+        for &r in &algo.fleet().active_ranks() {
+            let f = algo.fleet().worker(r).flat();
+            total += f
+                .iter()
+                .zip(&avg)
+                .map(|(a, b)| ((a - b) as f64).powi(2))
+                .sum::<f64>();
+        }
+        total
+    }
 
     fn setup(workers: usize, c: f64) -> (SapsPsgd, Dataset, BandwidthMatrix) {
         let ds = SyntheticSpec::tiny().samples(1_600).generate(1);
@@ -587,11 +514,11 @@ mod tests {
     #[test]
     fn workers_start_identical() {
         let (algo, _, _) = setup(4, 10.0);
-        let f0 = algo.worker(0).flat();
+        let f0 = algo.fleet().worker(0).flat();
         for r in 1..4 {
-            assert_eq!(f0, algo.worker(r).flat());
+            assert_eq!(f0, algo.fleet().worker(r).flat());
         }
-        assert!(algo.consensus_distance_sq() < 1e-12);
+        assert!(consensus_distance_sq(&algo) < 1e-12);
     }
 
     #[test]
@@ -668,7 +595,7 @@ mod tests {
         for _ in 0..60 {
             algo.round(&mut traffic, &bw);
         }
-        let d = algo.consensus_distance_sq();
+        let d = consensus_distance_sq(&algo);
         // Workers drift apart through local SGD but the gossip keeps them
         // within a modest envelope.
         assert!(d.is_finite() && d < 50.0, "consensus distance {d}");
@@ -684,7 +611,7 @@ mod tests {
             a.round(&mut ta, &bw);
             b.round(&mut tb, &bw);
         }
-        assert_eq!(a.worker(2).flat(), b.worker(2).flat());
+        assert_eq!(a.fleet().worker(2).flat(), b.fleet().worker(2).flat());
         assert_eq!(ta.worker_total(1), tb.worker_total(1));
     }
 
@@ -695,19 +622,19 @@ mod tests {
         for _ in 0..10 {
             algo.round(&mut traffic, &bw);
         }
-        algo.set_active(5, false).unwrap();
-        assert_eq!(algo.active_ranks().len(), 5);
-        let frozen = algo.worker(5).flat();
+        algo.set_worker_active(5, false).unwrap();
+        assert_eq!(algo.fleet().active_ranks().len(), 5);
+        let frozen = algo.fleet().worker(5).flat();
         for _ in 0..10 {
             algo.round(&mut traffic, &bw);
         }
         // The inactive worker's model is untouched.
-        assert_eq!(algo.worker(5).flat(), frozen);
-        algo.set_active(5, true).unwrap();
+        assert_eq!(algo.fleet().worker(5).flat(), frozen);
+        algo.set_worker_active(5, true).unwrap();
         for _ in 0..10 {
             algo.round(&mut traffic, &bw);
         }
-        assert_ne!(algo.worker(5).flat(), frozen);
+        assert_ne!(algo.fleet().worker(5).flat(), frozen);
         let acc = algo.evaluate(&val, 200);
         assert!(acc > 0.25, "post-churn accuracy {acc}");
     }
@@ -715,12 +642,12 @@ mod tests {
     #[test]
     fn churn_guards_minimum_active_fleet() {
         let (mut algo, _, _) = setup(4, 10.0);
-        algo.set_active(0, false).unwrap();
-        algo.set_active(1, false).unwrap();
+        algo.set_worker_active(0, false).unwrap();
+        algo.set_worker_active(1, false).unwrap();
         // Two active workers left — dropping another must fail.
-        assert!(algo.set_active(2, false).is_err());
-        assert!(algo.set_active(9, false).is_err());
-        assert_eq!(algo.active_ranks(), vec![2, 3]);
+        assert!(algo.set_worker_active(2, false).is_err());
+        assert!(algo.set_worker_active(9, false).is_err());
+        assert_eq!(algo.fleet().active_ranks(), vec![2, 3]);
     }
 
     #[test]
@@ -744,7 +671,7 @@ mod tests {
     fn churn_to_odd_active_count() {
         let (mut algo, _, bw) = setup(6, 4.0);
         let mut traffic = TrafficAccountant::new(6);
-        algo.set_active(2, false).unwrap(); // 5 active
+        algo.set_worker_active(2, false).unwrap(); // 5 active
         for _ in 0..20 {
             let rep = algo.round(&mut traffic, &bw);
             assert!(rep.mean_loss.is_finite());

@@ -247,6 +247,14 @@ pub trait Trainer {
     /// model.
     fn step(&mut self, ctx: &mut RoundCtx<'_>) -> RoundReport;
 
+    /// [`Trainer::step`] that hands a failed round back as an error
+    /// instead of panicking — a dead peer is the caller's to handle
+    /// ([`crate::Experiment::run`] ends the run with it). The default
+    /// wraps `step`; [`crate::Rounds`] overrides it.
+    fn try_step(&mut self, ctx: &mut RoundCtx<'_>) -> Result<RoundReport, ConfigError> {
+        Ok(self.step(ctx))
+    }
+
     /// Validation accuracy of the algorithm's current *consensus* model
     /// (the average of worker models for decentralized algorithms, the
     /// server model for PS algorithms).
@@ -269,28 +277,18 @@ pub trait Trainer {
 
     /// Marks a worker active/inactive (join/leave churn). The experiment
     /// driver calls this for [`crate::ScenarioEvent::WorkerLeave`] /
-    /// [`crate::ScenarioEvent::WorkerJoin`]; algorithms without a
-    /// membership concept return [`ConfigError::Unsupported`].
-    fn set_worker_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError> {
-        let _ = (rank, active);
-        Err(ConfigError::unsupported(self.name(), "worker churn"))
-    }
+    /// [`crate::ScenarioEvent::WorkerJoin`].
+    fn set_worker_active(&mut self, rank: usize, active: bool) -> Result<(), ConfigError>;
 
     /// Tells the algorithm the measured bandwidths changed (the paper's
     /// "regularly reported" speed measurements). Algorithms that plan
-    /// topology from bandwidth (SAPS-PSGD) rebuild their selection state;
-    /// the default is a no-op because most baselines read `ctx.bw`
-    /// directly each round.
-    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix) {
-        let _ = bw;
-    }
+    /// topology from bandwidth (SAPS-PSGD) rebuild their selection
+    /// state; most baselines read `ctx.bw` directly each round.
+    fn refresh_bandwidth(&mut self, bw: &BandwidthMatrix);
 
     /// Exports the current *consensus* model as a
     /// [`crate::checkpoint`]-encoded blob stamped with the number of
     /// completed rounds — the hand-off the `saps-serve` inference plane
-    /// announces to its replicas between training rounds. Algorithms
-    /// without a consensus snapshot return [`ConfigError::Unsupported`].
-    fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError> {
-        Err(ConfigError::unsupported(self.name(), "checkpoint export"))
-    }
+    /// announces to its replicas between training rounds.
+    fn export_checkpoint(&mut self) -> Result<Vec<u8>, ConfigError>;
 }

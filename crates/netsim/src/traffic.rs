@@ -109,6 +109,19 @@ impl TrafficAccountant {
         rt
     }
 
+    /// Takes back everything recorded since the last
+    /// [`TrafficAccountant::end_round`]: a round that failed part-way
+    /// bills nothing.
+    pub fn discard_round(&mut self) {
+        for (total, cur) in self.sent.iter_mut().zip(&mut self.cur_sent) {
+            *total -= std::mem::take(cur);
+        }
+        for (total, cur) in self.recv.iter_mut().zip(&mut self.cur_recv) {
+            *total -= std::mem::take(cur);
+        }
+        self.server -= std::mem::take(&mut self.cur_server);
+    }
+
     /// Total bytes sent by `worker` across all rounds.
     pub fn worker_sent(&self, worker: usize) -> u64 {
         self.sent[worker]

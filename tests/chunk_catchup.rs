@@ -28,7 +28,7 @@
 //!    donor is the same in memory and on a wire), and a peer whose link
 //!    to the joiner is down serves nothing.
 
-use saps::baselines::{Direct, Exchange, Fleet, PsgdAllReduce};
+use saps::baselines::{Direct, Exchange, Fleet, PsgdAllReduce, RingAllReduce, Rounds};
 use saps::cluster::{
     cluster_registry, Addr, FaultPlan, FaultScope, FaultyTransport, Framed, LoopbackTransport,
     Transport, WireTap,
@@ -63,7 +63,7 @@ fn model(rng: &mut rand::rngs::StdRng) -> saps::nn::Model {
 /// P-SGD — the baseline that resyncs a joiner — over `fabric`.
 fn psgd<X: Exchange>(workers: usize, fabric: X) -> PsgdAllReduce<X> {
     let fleet = Fleet::with_partitions(parts(workers), model, SEED, 16, 0.1).unwrap();
-    PsgdAllReduce::over(fleet, fabric).unwrap()
+    Rounds::of(RingAllReduce::default(), fleet, fabric).unwrap()
 }
 
 /// [`psgd`] on the wire: `chunk`-byte chunks over `transport`, serving
@@ -203,10 +203,10 @@ fn saps_joiner_catches_up_from_published_epoch() {
 
     // Bit-identical to the donor (constant links: the lowest active
     // rank on either fabric), in several verified chunks.
-    let donor = clu.active_ranks()[0];
+    let donor = clu.fleet().active_ranks()[0];
     assert_eq!(
-        clu.worker(3).flat(),
-        clu.worker(donor).flat(),
+        clu.fleet().worker(3).flat(),
+        clu.fleet().worker(donor).flat(),
         "joiner must land on the donor's model exactly"
     );
     let rep = clu.fabric().resync_log().last().unwrap().clone();
@@ -238,7 +238,11 @@ fn saps_joiner_catches_up_from_published_epoch() {
     // Training continues after the catch-up, still the in-memory run.
     step_both(&mut clu, &mut mem, &mut traffic);
     for r in 0..workers {
-        assert_eq!(clu.worker(r).flat(), mem.worker(r).flat(), "worker {r}");
+        assert_eq!(
+            clu.fleet().worker(r).flat(),
+            mem.fleet().worker(r).flat(),
+            "worker {r}"
+        );
     }
 }
 
@@ -286,10 +290,10 @@ fn saps_catch_up_picks_the_same_donor_on_both_fabrics() {
 
     // Local SGD has driven the replicas apart, so the parameters the
     // joiner holds name its donor.
-    let fastest = mem.worker(2).flat();
-    assert_ne!(fastest, mem.worker(0).flat());
-    assert_eq!(mem.worker(joiner).flat(), fastest, "in memory");
-    assert_eq!(clu.worker(joiner).flat(), fastest, "on the wire");
+    let fastest = mem.fleet().worker(2).flat();
+    assert_ne!(fastest, mem.fleet().worker(0).flat());
+    assert_eq!(mem.fleet().worker(joiner).flat(), fastest, "in memory");
+    assert_eq!(clu.fleet().worker(joiner).flat(), fastest, "on the wire");
     let rep = clu.fabric().resync_log().last().unwrap();
     assert_eq!((rep.rank, rep.donor), (joiner as u32, 2));
     assert!(

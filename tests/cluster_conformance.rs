@@ -150,9 +150,13 @@ fn final_model_checkpoint_decodes_to_the_in_memory_params() {
     // the in-memory run reads straight from its workers.
     let model_plane_before = tap.snapshot().model_bytes;
     let consensus = clu.consensus_model().unwrap();
-    assert_eq!(consensus, mem.average_model());
+    assert_eq!(consensus, mem.fleet().average_model());
     for r in 0..workers {
-        assert_eq!(clu.worker(r).flat(), mem.worker(r).flat(), "worker {r}");
+        assert_eq!(
+            clu.fleet().worker(r).flat(),
+            mem.fleet().worker(r).flat(),
+            "worker {r}"
+        );
     }
     let framed = tap.snapshot().model_bytes - model_plane_before;
     let blob = checkpoint::encode(&consensus, 0).len() as u64;
@@ -325,7 +329,11 @@ fn sharded_planning_is_bit_identical_on_the_wire() {
         "only {paired} workers ever exchanged"
     );
     for r in 0..workers {
-        assert_eq!(mem.worker(r).flat(), clu.worker(r).flat(), "worker {r}");
+        assert_eq!(
+            mem.fleet().worker(r).flat(),
+            clu.fleet().worker(r).flat(),
+            "worker {r}"
+        );
         assert_eq!(
             t_mem.worker_sent(r),
             t_clu.worker_sent(r),

@@ -278,7 +278,7 @@ fn checkpoint_roundtrip_through_training() {
     let acc_before = algo.evaluate(&val, 300);
     // Coordinator collects the final model (Algorithm 1 line 8) and
     // checkpoints it.
-    let final_model = algo.average_model();
+    let final_model = algo.fleet().average_model();
     let blob = checkpoint::encode(&final_model, 50);
     let (restored, round) = checkpoint::decode(blob).unwrap();
     assert_eq!(round, 50);

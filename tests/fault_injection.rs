@@ -22,16 +22,17 @@
 //!    refused before anything is framed.
 
 use saps::baselines::{
-    register_baselines, DPsgd, DcdPsgd, FedAvg, FedAvgConfig, Fleet, PsgdAllReduce, RandomChoose,
-    SFedAvg, TopKPsgd,
+    register_baselines, FedAvgConfig, Fleet, ParameterServer, RandomPeers, RingAllReduce,
+    RingDiffGossip, RingGossip, Rounds, SparseParameterServer, TopKAllgather,
 };
 use saps::cluster::{
     cluster_registry, Addr, ClusterError, ClusterTrainer, FaultPlan, FaultScope, FaultyTransport,
     Framed, LoopbackTransport, Transport, WireTap,
 };
 use saps::core::{
-    register_saps, AlgorithmRegistry, AlgorithmSpec, BuildCtx, Exchange, Experiment, Node, Payload,
-    RoundCtx, RoundReport, SapsConfig, SapsPsgd, ScenarioEvent, Trainer,
+    register_saps, AlgorithmRegistry, AlgorithmSpec, BuildCtx, ConfigError, Exchange, Experiment,
+    HistoryPoint, Node, Payload, Recorder, RoundCtx, RoundObserver, RoundReport, RunHistory,
+    SapsConfig, SapsPsgd, ScenarioEvent, Trainer,
 };
 use saps::data::{partition, Dataset, SyntheticSpec};
 use saps::netsim::{BandwidthMatrix, TrafficAccountant};
@@ -194,9 +195,12 @@ fn dropped_frames_surface_as_a_typed_stall_not_a_hang() {
         let ctx = &mut RoundCtx::new(0, &bw, &mut traffic, SEED);
         let stepped: Result<RoundReport, ClusterError> = match spec {
             AlgorithmSpec::Saps { .. } => saps_over(workers, x).try_step(ctx),
-            AlgorithmSpec::Psgd => PsgdAllReduce::over(fleet, x).unwrap().try_step(ctx),
+            AlgorithmSpec::Psgd => Rounds::of(RingAllReduce::default(), fleet, x)
+                .unwrap()
+                .try_step(ctx),
             AlgorithmSpec::TopK { compression } => {
-                TopKPsgd::over(fleet, compression, x).unwrap().try_step(ctx)
+                let algo = TopKAllgather::new(&fleet, compression).unwrap();
+                Rounds::of(algo, fleet, x).unwrap().try_step(ctx)
             }
             AlgorithmSpec::FedAvg {
                 participation,
@@ -206,29 +210,94 @@ fn dropped_frames_surface_as_a_typed_stall_not_a_hang() {
                     participation,
                     local_steps,
                 };
-                FedAvg::over(fleet, cfg, SEED, x).unwrap().try_step(ctx)
+                let algo = ParameterServer::new(&fleet, cfg, SEED).unwrap();
+                Rounds::of(algo, fleet, x).unwrap().try_step(ctx)
             }
             AlgorithmSpec::SFedAvg {
                 participation,
                 local_steps,
                 compression,
-            } => SFedAvg::over(fleet, participation, local_steps, compression, SEED, x)
-                .unwrap()
-                .try_step(ctx),
-            AlgorithmSpec::DPsgd => DPsgd::over(fleet, x).unwrap().try_step(ctx),
+            } => {
+                let algo = SparseParameterServer::new(
+                    &fleet,
+                    participation,
+                    local_steps,
+                    compression,
+                    SEED,
+                )
+                .unwrap();
+                Rounds::of(algo, fleet, x).unwrap().try_step(ctx)
+            }
+            AlgorithmSpec::DPsgd => Rounds::of(RingGossip, fleet, x).unwrap().try_step(ctx),
             AlgorithmSpec::DcdPsgd { compression } => {
-                DcdPsgd::over(fleet, compression, x).unwrap().try_step(ctx)
+                let algo = RingDiffGossip::new(&fleet, compression).unwrap();
+                Rounds::of(algo, fleet, x).unwrap().try_step(ctx)
             }
             AlgorithmSpec::RandomChoose { compression } => {
-                RandomChoose::over(fleet, compression, SEED, x)
-                    .unwrap()
-                    .try_step(ctx)
+                let algo = RandomPeers::new(&fleet, compression, SEED).unwrap();
+                Rounds::of(algo, fleet, x).unwrap().try_step(ctx)
             }
         };
         match stepped {
             Err(ClusterError::Stalled { round: 0, .. }) => {}
             other => panic!("{}: expected a stall error, got {other:?}", spec.key()),
         }
+    }
+}
+
+/// The table, part three: under the experiment driver a dead data plane
+/// is the caller's error, not a panic — for every algorithm, `run` names
+/// the round and the stall, and the observers still see the (empty)
+/// history. Only the payloads of one worker — the one the parameter
+/// servers are placed at — die: the driver's evaluation before round 0
+/// collects SAPS-PSGD's models over the model plane, and
+/// `Trainer::evaluate` has no error to return.
+#[test]
+fn a_dead_fabric_under_the_experiment_driver_is_an_error_for_every_algorithm() {
+    use std::cell::Cell;
+    use std::rc::Rc;
+    struct Completed(Rc<Cell<bool>>);
+    impl RoundObserver for Completed {
+        fn on_point(&mut self, _: &HistoryPoint) {}
+        fn on_complete(&mut self, _: &RunHistory) {
+            self.0.set(true);
+        }
+    }
+    let workers = 4;
+    let server = BandwidthMatrix::constant(workers, 1.0).best_server() as u32;
+    let plan = FaultPlan::none()
+        .with_drop(1.0)
+        .scoped(FaultScope::PayloadsFrom(Addr::Worker(server)));
+    let dead = move || faulty_fabric(plan, 3).with_stall_limit(50);
+    let mut reg = AlgorithmRegistry::empty();
+    register_saps(&mut reg, dead);
+    register_baselines(&mut reg, dead);
+    let (train, val) = SyntheticSpec::tiny()
+        .samples(800)
+        .generate(5)
+        .split(0.25, 0);
+    for spec in all_specs() {
+        let completed = Rc::new(Cell::new(false));
+        let err = Experiment::new(spec)
+            .train(train.clone())
+            .validation(val.clone())
+            .workers(workers)
+            .batch_size(16)
+            .seed(SEED)
+            .model(model)
+            .rounds(2)
+            .eval_samples(50)
+            .observer(Box::new(Completed(Rc::clone(&completed))))
+            .run(&reg)
+            .expect_err("a dead fabric fails the run");
+        let msg = err.to_string();
+        assert!(msg.contains("round 0 failed"), "{}: {msg}", spec.key());
+        assert!(msg.contains("quiescent"), "{}: {msg}", spec.key());
+        assert!(
+            completed.get(),
+            "{}: observers were not flushed",
+            spec.key()
+        );
     }
 }
 
@@ -286,7 +355,10 @@ fn byzantine_worker_is_quarantined_and_honest_workers_match_a_graceful_leave() {
     // The offender was expelled, exactly once, and the fleets agree.
     assert_eq!(attacked.0.quarantined(), vec![EVIL_RANK as u32]);
     assert!(baseline.quarantined().is_empty());
-    assert_eq!(attacked.0.active_ranks(), baseline.active_ranks());
+    assert_eq!(
+        attacked.0.fleet().active_ranks(),
+        baseline.fleet().active_ranks()
+    );
 
     // Every worker is bit-identical: the honest ones because the replay
     // matched the graceful-leave world, the offender because the aborted
@@ -294,8 +366,8 @@ fn byzantine_worker_is_quarantined_and_honest_workers_match_a_graceful_leave() {
     // frozen model of a worker that left).
     for r in 0..WORKERS {
         assert_eq!(
-            baseline.worker(r).flat(),
-            attacked.0.worker(r).flat(),
+            baseline.fleet().worker(r).flat(),
+            attacked.0.fleet().worker(r).flat(),
             "worker {r} params diverged from the graceful-leave baseline"
         );
     }
@@ -395,30 +467,59 @@ fn churn_on_a_quarantined_rank_is_refused_before_anything_is_framed() {
         frames,
         "a refused request was framed"
     );
-    assert_eq!(clu.active_ranks(), vec![0, 1, 2]);
+    assert_eq!(clu.fleet().active_ranks(), vec![0, 1, 2]);
 
     // Scheduled through the experiment driver, the same request ends
     // the run as an error naming the quarantine — not a panic.
+    let err = refused_rejoin_run(attack, Recorder::disabled());
+    assert!(err.to_string().contains("quarantined"), "{err}");
+}
+
+/// SAPS-PSGD under the experiment driver over `attack`, with worker 3's
+/// rejoin scheduled before round 2 — after the quarantine expelled it in
+/// round 0.
+fn refused_rejoin_run(attack: FaultPlan, telemetry: Recorder) -> ConfigError {
     let mut reg = AlgorithmRegistry::empty();
     register_saps(&mut reg, move || faulty_fabric(attack, 7));
     let (train, val) = SyntheticSpec::tiny()
         .samples(800)
         .generate(5)
         .split(0.25, 0);
-    let err = Experiment::new(AlgorithmSpec::parse("saps").unwrap().with_compression(4.0))
+    Experiment::new(AlgorithmSpec::parse("saps").unwrap().with_compression(4.0))
         .train(train)
         .validation(val)
-        .workers(WORKERS)
+        .workers(4)
         .batch_size(16)
         .seed(SEED)
         .model(model)
         .rounds(4)
         .eval_every(4)
         .eval_samples(50)
-        .event(2, ScenarioEvent::WorkerJoin { rank: EVIL_RANK })
+        .event(2, ScenarioEvent::WorkerJoin { rank: 3 })
+        .telemetry(telemetry)
         .run(&reg)
-        .expect_err("the expelled rank cannot rejoin");
-    assert!(err.to_string().contains("quarantined"), "{err}");
+        .expect_err("the expelled rank cannot rejoin")
+}
+
+/// A run that leaves through its failed exit says so last in its trail:
+/// one `run.failed` event, at the round that failed, with the reason.
+/// Observing it changes nothing — the run fails the same way with the
+/// recorder off.
+#[test]
+fn a_failed_run_closes_its_trail_with_the_failure() {
+    let attack = FaultPlan::none()
+        .with_corrupt(1.0)
+        .scoped(FaultScope::PayloadsFrom(Addr::Worker(3)));
+    let rec = Recorder::new();
+    let err = refused_rejoin_run(attack, rec.clone());
+    assert_eq!(err, refused_rejoin_run(attack, Recorder::disabled()));
+    let events = rec.events();
+    let last = events.last().expect("a trail");
+    assert_eq!((last.kind.as_str(), last.round), ("run.failed", Some(2)));
+    let detail = format!("{:?}", last.fields);
+    assert!(detail.contains("quarantined"), "{detail}");
+    let failures = events.iter().filter(|e| e.kind == "run.failed").count();
+    assert_eq!(failures, 1);
 }
 
 /// An unsolicited `FinalModel` — a duplicate, or a reply racing its
