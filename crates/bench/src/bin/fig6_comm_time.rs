@@ -11,10 +11,10 @@
 //!     [--time-model=analytic|des] [mnist|cifar|resnet] [rounds]
 //! ```
 //!
-//! `--time-model=des` prices every round through the discrete-event
-//! network simulator (5 ms per-link latency, fair-share contention —
-//! see `docs/NETWORK_SIM.md`) instead of the closed-form analytic
-//! formulas; losses and traffic are bit-identical between the two, so
+//! Every round is priced on the discrete-event network simulator
+//! (fair-share contention — see `docs/NETWORK_SIM.md`): at zero latency
+//! by default, with 5 ms per-link latency under `--time-model=des`;
+//! losses and traffic are bit-identical between the two, so
 //! the records are directly comparable. Either way the per-algorithm
 //! numbers are merged into `BENCH_comm_time.json`, keyed by
 //! `(algorithm, workload, workers, time_model)`.

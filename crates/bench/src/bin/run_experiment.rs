@@ -23,9 +23,9 @@
 //! * `--target-acc F` — stop early at the first evaluation reaching `F`
 //! * `--threads seq|auto|N` — round-engine thread count (default auto;
 //!   every setting produces the bit-identical trajectory)
-//! * `--time-model analytic|des` — price rounds with the closed-form
-//!   formulas (default) or the discrete-event network simulator (5 ms
-//!   per-link latency, fair-share contention; see
+//! * `--time-model analytic|des` — price rounds on the discrete-event
+//!   network simulator at zero latency (default) or with 5 ms per-link
+//!   latency (fair-share contention either way; see
 //!   `docs/NETWORK_SIM.md`) — losses and traffic stay bit-identical
 //! * `--driver memory|cluster` — run the algorithm in-memory (default)
 //!   or through the `saps-cluster` message-driven runtime, where every

@@ -2,8 +2,8 @@
 //!
 //! `fig6_comm_time` compares the eight algorithms on *communication
 //! time*; with the [`saps_core::TimeModel`] switch each run can be
-//! priced by the closed-form analytic model or the discrete-event
-//! simulator. This module records both, keyed by
+//! priced on the flow engine at zero latency (`analytic`) or with
+//! per-link latency (`des`). This module records both, keyed by
 //! `(algorithm, workload, workers, time_model)`, into
 //! `BENCH_comm_time.json` in the working directory — hand-rolled JSON,
 //! one entry per line (no serde in the dependency-free build), and

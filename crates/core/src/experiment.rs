@@ -282,7 +282,6 @@ pub struct Experiment {
     parallelism: ParallelismPolicy,
     time_model: TimeModel,
     compute_time: f64,
-    pipeline: bool,
     telemetry: Recorder,
 }
 
@@ -328,7 +327,6 @@ impl Experiment {
             parallelism: ParallelismPolicy::Auto,
             time_model: TimeModel::Analytic,
             compute_time: 0.0,
-            pipeline: false,
             telemetry: Recorder::disabled(),
         }
     }
@@ -448,11 +446,6 @@ impl Experiment {
         self
     }
 
-    /// Attaches a per-round callback.
-    pub fn on_round(self, f: impl FnMut(&HistoryPoint) + 'static) -> Self {
-        self.observer(Box::new(f))
-    }
-
     /// Installs a hook called after every round *with mutable trainer
     /// access*, once the round's observers have seen the point. This is
     /// the train-and-serve seam: a `saps-serve` plane exports the
@@ -476,8 +469,9 @@ impl Experiment {
     }
 
     /// How each round's transfer set is priced into communication time
-    /// (default [`TimeModel::Analytic`], the paper's closed-form
-    /// accounting). Switching to [`TimeModel::EventDriven`] changes
+    /// (default [`TimeModel::Analytic`]: the flow engine at zero latency,
+    /// the paper's bandwidth-only accounting). Every model prices on the
+    /// same engine; switching to [`TimeModel::EventDriven`] changes
     /// *only* time and idle accounting — losses, models and traffic are
     /// bit-identical under every model (pinned by
     /// `tests/trainer_conformance.rs`).
@@ -500,24 +494,6 @@ impl Experiment {
     /// and are excluded from the idle accounting.
     pub fn compute_time(mut self, seconds_per_round: f64) -> Self {
         self.compute_time = seconds_per_round;
-        self
-    }
-
-    /// Overlap each round's compute phase with the previous round's
-    /// payload drain (default off). With pipelining on, a worker begins
-    /// round `t+1`'s local steps while round `t`'s transfers are still
-    /// in flight, so the DES gates round `t+1`'s flow releases on only
-    /// the compute that *outlasts* the drain:
-    /// `max(0, compute × slowdown − prev_round_comm_time)`.
-    ///
-    /// Pipelining changes the time model only — the exchange arithmetic
-    /// and its rank-ordered reductions are untouched, so a pipelined
-    /// run is bit-identical in training state (params, loss, traffic)
-    /// to the sequential run, and no round can take *longer* (the
-    /// compute gates only ever shrink). A no-op unless
-    /// [`Experiment::compute_time`] is non-zero.
-    pub fn pipeline(mut self, on: bool) -> Self {
-        self.pipeline = on;
         self
     }
 
@@ -628,9 +604,6 @@ impl Experiment {
         // critical path.
         let mut slowdowns = vec![1.0f64; self.workers];
         let mut active = vec![true; self.workers];
-        // Pipelining carry: seconds the previous round's payload kept
-        // draining — compute that fits inside it is hidden.
-        let mut prev_comm = 0.0f64;
 
         let mut failed = None;
         'rounds: for round in 0..self.rounds {
@@ -698,12 +671,11 @@ impl Experiment {
             // are marked NaN so the pricing layer neither gates flow
             // releases on them nor bills them idle time. All-zero
             // schedules skip the allocation.
-            let overlap = if self.pipeline { prev_comm } else { 0.0 };
             let starts: Vec<f64> = if self.compute_time > 0.0 {
                 (0..self.workers)
                     .map(|r| {
                         if active[r] {
-                            (self.compute_time * slowdowns[r] - overlap).max(0.0)
+                            self.compute_time * slowdowns[r]
                         } else {
                             f64::NAN
                         }
@@ -726,7 +698,6 @@ impl Experiment {
                 }
             };
             epoch += rep.epochs_advanced;
-            prev_comm = rep.comm_time_s;
             time_s += rep.comm_time_s;
             compute_s += rep.compute_time_s;
             idle_s += rep.idle_time_s;
@@ -781,8 +752,7 @@ impl Experiment {
                 // Span-style phase trail in virtual time. `plan` is
                 // zero-width (planning is not priced by the time
                 // model); `drain` is zero-width except that it carries
-                // the round's mean idle seconds — under pipelining the
-                // next round's compute overlaps this span.
+                // the round's mean idle seconds.
                 let spans = [
                     ("plan", t0, t0, 0.0),
                     ("compute", t0, t0 + rep.compute_time_s, 0.0),
@@ -1021,7 +991,7 @@ mod tests {
         }
         assert_eq!(analytic.final_acc, des.final_acc);
         // 50 ms of per-link latency must make the DES run strictly
-        // slower than the closed-form accounting.
+        // slower than the zero-latency default.
         assert!(des.total_comm_time_s > analytic.total_comm_time_s);
     }
 
@@ -1062,11 +1032,12 @@ mod tests {
 
     #[test]
     fn departed_workers_are_not_billed_idle() {
-        // 4 equal workers computing 1 s/round: nobody waits at the
-        // barrier, so idle must be 0 — and must stay 0 after a worker
-        // leaves (a departed worker is not "waiting", under either
-        // time model).
-        for model in [TimeModel::Analytic, TimeModel::event_driven(0.0)] {
+        // 4 equal workers computing 1 s/round: nobody waits on a slower
+        // peer's compute, so idle is only the (millisecond-scale)
+        // transfer waits — and must stay that small after a worker
+        // leaves (a departed worker is not "waiting", under any time
+        // model).
+        for model in [TimeModel::default(), TimeModel::event_driven(0.01)] {
             let run = |events: Vec<ScheduledEvent>| {
                 base()
                     .rounds(6)
@@ -1088,21 +1059,14 @@ mod tests {
                 (churned.total_compute_time_s - 6.0).abs() < 1e-9,
                 "{model:?}"
             );
-            if matches!(model, TimeModel::Analytic) {
-                assert_eq!(full.total_idle_time_s, 0.0, "{model:?}");
-                assert_eq!(
-                    churned.total_idle_time_s, 0.0,
-                    "{model:?} billed a departed worker as idle"
-                );
-            } else {
-                // DES idle includes the (tiny, millisecond-scale)
-                // transfer waits; the old bug billed the departed
-                // worker the full 1 s compute barrier every round
-                // (≥ 1.25 s over 5 churned rounds at the 1/4 mean).
+            // Billing the departed worker the 1 s compute barrier every
+            // round would add ≥ 1.25 s over 5 churned rounds at the 1/4
+            // mean.
+            for (hist, what) in [(&full, "full"), (&churned, "churned")] {
                 assert!(
-                    churned.total_idle_time_s < 0.5,
-                    "{model:?}: departed worker billed idle ({} s)",
-                    churned.total_idle_time_s
+                    hist.total_idle_time_s < 0.5,
+                    "{model:?} {what}: billed {} s idle",
+                    hist.total_idle_time_s
                 );
             }
         }

@@ -317,6 +317,32 @@ mod tests {
     }
 
     #[test]
+    fn rc_window_is_open_for_exactly_tthres_rounds() {
+        // Algorithm 3 keeps (i,j) recently connected while
+        // R_ij > t − T_thres: an edge used at round u is still in the RC
+        // graph at u + T_thres − 1 and gone at u + T_thres.
+        for tthres in [1u32, 3, 7] {
+            let mut rng = StdRng::seed_from_u64(u64::from(tthres));
+            let mut g = generator(4, tthres);
+            let u = 10u64;
+            let m = g.next_matching(u, &mut rng);
+            assert!(!m.pairs().is_empty());
+            let (u, t) = (u as i64, i64::from(tthres));
+            let (open, closed) = (g.rc_graph(u + t - 1), g.rc_graph(u + t));
+            for (a, b) in m.pairs() {
+                assert!(
+                    open.has_edge(a, b),
+                    "T_thres={tthres}: ({a},{b}) aged out early"
+                );
+                assert!(
+                    !closed.has_edge(a, b),
+                    "T_thres={tthres}: ({a},{b}) outlived the window"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn restricted_bstar_still_connects_via_bridges() {
         // B* is a disconnected pairing {0-1, 2-3}, but the full PC graph
         // is complete. The RC-window logic must inject bridge edges so

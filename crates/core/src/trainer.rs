@@ -39,9 +39,10 @@ pub struct RoundCtx<'a> {
     /// [`RoundCtx::with_executor`].
     pub exec: Executor,
     /// How this round's transfer set is priced into communication time
-    /// ([`TimeModel::Analytic`] by default). Algorithms never read this
-    /// directly — they call [`RoundCtx::price_p2p`] and friends, so the
-    /// driver can swap the model without touching trainer code.
+    /// ([`TimeModel::Analytic`], the flow engine at zero latency, by
+    /// default). Algorithms never read this directly — they call
+    /// [`RoundCtx::price_p2p`] and friends, so the driver can swap the
+    /// model without touching trainer code.
     pub time: TimeModel,
     /// Per-rank compute-finish times in seconds (straggler modeling);
     /// empty means all workers finish at 0. Installed by the driver via
@@ -155,7 +156,8 @@ impl<'a> RoundCtx<'a> {
     /// Feeds a priced round's network statistics into the recorder —
     /// the DES instrumentation point. Under [`TimeModel::Packet`] the
     /// timing carries retransmission and queue-depth stats; under the
-    /// fluid/analytic models they are zero and nothing is recorded.
+    /// fluid models (`Analytic`, `EventDriven`) they are zero and
+    /// nothing is recorded.
     fn note_net_stats(&self, t: &RoundTiming) {
         if !self.telemetry.is_enabled() {
             return;

@@ -63,12 +63,6 @@ impl Worker {
         &self.data
     }
 
-    /// Replaces the local dataset (e.g. when a worker re-joins with new
-    /// data).
-    pub fn set_data(&mut self, data: Dataset) {
-        self.data = data;
-    }
-
     /// Immutable model access.
     pub fn model(&self) -> &Model {
         &self.model

@@ -6,7 +6,7 @@
 //!   of Fig. 5;
 //! * a complete graph helper for PSGD-style all-to-all analyses.
 
-use crate::{matching, Graph, Matching};
+use crate::{Graph, Matching};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -64,12 +64,6 @@ pub fn random_perfect_matching<R: Rng>(n: usize, rng: &mut R) -> Matching {
     perm.shuffle(rng);
     let pairs: Vec<(usize, usize)> = perm.chunks(2).map(|c| (c[0], c[1])).collect();
     Matching::from_pairs(n, &pairs)
-}
-
-/// A random maximum matching restricted to the edges of `g` (used when
-/// "random" selection must still respect connectivity constraints).
-pub fn random_matching_in<R: Rng>(g: &Graph, rng: &mut R) -> Matching {
-    matching::randomly_max_match(g, rng)
 }
 
 /// Average link weight of a matching under a (possibly asymmetric) weight

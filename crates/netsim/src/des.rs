@@ -1,34 +1,30 @@
-//! Round pricing: the closed-form analytic model vs the discrete-event
-//! flow simulator, behind one [`TimeModel`] switch.
+//! Round pricing: every round's transfer set priced on the flow engine,
+//! behind one [`TimeModel`] switch.
 //!
 //! Trainers describe *what* moved (a transfer set in one of the paper's
 //! four communication patterns); a `TimeModel` decides *how long* it
-//! took:
+//! took. Each model turns the set into [`FlowSpec`]s and runs them
+//! through [`crate::flows::simulate`]; the models differ only in what
+//! they hand the engine:
 //!
-//! * [`TimeModel::Analytic`] — the closed-form formulas of
-//!   [`crate::timemodel`] (slowest-link max). Zero latency, no
-//!   contention between pairs, no straggler overlap. This is the
-//!   paper's own accounting and the default.
-//! * [`TimeModel::EventDriven`] — each transfer becomes a flow in the
-//!   [`crate::flows`] engine: per-link latency, fair-share bandwidth
-//!   splitting among concurrent flows on a link, and staggered flow
-//!   releases when stragglers finish their local compute late.
-//! * [`TimeModel::Packet`] — the same flow sets through the same engine
-//!   with the link dynamics of a [`PacketConfig`] switched on
-//!   ([`crate::packet`]): per-flow AIMD congestion windows, finite link
-//!   queues, seeded random loss and RTT. An ideal config (zero RTT,
-//!   zero loss) *is* the zero-latency event-driven model.
+//! * [`TimeModel::Analytic`] — zero latency and fluid links
+//!   ([`PacketConfig::ideal`]): bytes over fair-shared bandwidth and
+//!   nothing else. This is the paper's bandwidth-only accounting and
+//!   the default.
+//! * [`TimeModel::EventDriven`] — the same fluid links plus a per-link
+//!   latency, paid per transfer (or per step of a collective).
+//! * [`TimeModel::Packet`] — the link dynamics of a [`PacketConfig`]
+//!   switched on ([`crate::packet`]): per-flow AIMD congestion windows,
+//!   finite link queues, seeded random loss and RTT. An ideal config
+//!   (zero RTT, zero loss) *is* the analytic model.
 //!
 //! All models price the *same* transfer set — switching the model can
-//! change time and nothing else. For the peer-to-peer,
-//! parameter-server and ring all-reduce (m ≥ 3) patterns the
-//! event-driven model with zero latency reproduces the analytic
-//! numbers exactly and latency/stragglers only add time. The sparse
-//! allgather is the loose pattern: the analytic formula is deliberately
-//! conservative (every chunk gated by the global bottleneck link), and
-//! the simulated serialized-sender schedule usually prices under it,
-//! never beyond 2× (duplex-direction collisions on a shared pair).
-//! `crates/netsim/tests/proptest_des.rs` pins these relationships.
+//! change time and nothing else. Under every model a flow is released
+//! when its own endpoints finished their local compute, so stragglers
+//! stagger releases rather than barrier the whole round.
+//! `crates/netsim/tests/proptest_des.rs` pins the engine against
+//! closed-form oracles for the peer-to-peer, parameter-server and ring
+//! all-reduce patterns.
 //!
 //! Every pricing call returns a [`RoundTiming`] critical-path breakdown
 //! (compute vs transfer vs idle), which the experiment driver surfaces
@@ -36,19 +32,19 @@
 
 use crate::flows::{simulate, FlowSpec};
 use crate::packet::PacketConfig;
-use crate::timemodel;
 use crate::BandwidthMatrix;
 
 /// How a round's communication time is computed from its transfer set.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[non_exhaustive]
 pub enum TimeModel {
-    /// Closed-form slowest-link formulas ([`crate::timemodel`]) — the
-    /// paper's accounting and the default.
+    /// The flow engine at zero latency with fluid links
+    /// ([`PacketConfig::ideal`]) — the paper's bandwidth-only
+    /// accounting and the default.
     #[default]
     Analytic,
-    /// Discrete-event fluid simulation ([`crate::flows`]): concurrent
-    /// flows on a link share it fairly.
+    /// The analytic model plus a per-link latency: concurrent flows on
+    /// a link still share it fairly ([`crate::flows`]).
     EventDriven {
         /// One-way per-link latency in seconds (paid per transfer, or
         /// per step for multi-step collectives).
@@ -82,13 +78,13 @@ impl TimeModel {
         }
     }
 
-    /// What this model hands the flow engine — one-way latency and
-    /// link dynamics — or `None` for the closed forms.
-    fn link(&self) -> Option<(f64, PacketConfig)> {
+    /// What this model hands the flow engine: one-way latency and link
+    /// dynamics.
+    fn link(&self) -> (f64, PacketConfig) {
         match *self {
-            TimeModel::Analytic => None,
-            TimeModel::EventDriven { latency } => Some((latency, PacketConfig::ideal())),
-            TimeModel::Packet(cfg) => Some((cfg.rtt_s / 2.0, cfg)),
+            TimeModel::Analytic => (0.0, PacketConfig::ideal()),
+            TimeModel::EventDriven { latency } => (latency, PacketConfig::ideal()),
+            TimeModel::Packet(cfg) => (cfg.rtt_s / 2.0, cfg),
         }
     }
 }
@@ -155,21 +151,6 @@ fn idle_mean(n: usize, starts: &[f64], per_rank: impl Fn(usize, f64) -> f64) -> 
     }
 }
 
-/// Breakdown for the analytic model: the round barriers on the slowest
-/// compute, then the closed-form transfer time; idle is the mean
-/// barrier wait.
-fn analytic_timing(n: usize, starts: &[f64], transfer_s: f64) -> RoundTiming {
-    let compute_s = max_start(starts);
-    RoundTiming {
-        total_s: compute_s + transfer_s,
-        compute_s,
-        transfer_s,
-        idle_s: idle_mean(n, starts, |_, start| compute_s - start),
-        retransmit_segments: 0,
-        peak_queue_bytes: 0.0,
-    }
-}
-
 /// Breakdown from simulating `flows` on the engine: the round ends when
 /// the last flow lands (but no earlier than the last compute finish).
 fn simulated_timing(
@@ -212,10 +193,6 @@ impl TimeModel {
         transfers: &[(usize, usize, u64)],
         starts: &[f64],
     ) -> RoundTiming {
-        let Some(link) = self.link() else {
-            let transfer_s = timemodel::p2p_round_time(bw, transfers);
-            return analytic_timing(bw.len(), starts, transfer_s);
-        };
         let flows: Vec<FlowSpec> = transfers
             .iter()
             .map(|&(src, dst, bytes)| {
@@ -226,14 +203,14 @@ impl TimeModel {
                 FlowSpec::new(src, dst, bytes as f64).released_at(release)
             })
             .collect();
-        simulated_timing(bw, link, &flows, starts)
+        simulated_timing(bw, self.link(), &flows, starts)
     }
 
     /// Prices one parameter-server round (FedAvg / S-FedAvg): each
     /// `(worker, up_bytes, down_bytes)` client moves its bytes over the
     /// worker↔server link, upload then download chained per client (the
-    /// two directions of one client never overlap, matching the
-    /// analytic `(up+down)/bw` rule). A client co-located with the
+    /// two directions of one client never overlap, so at zero latency a
+    /// client takes `(up+down)/bw`). A client co-located with the
     /// server is free.
     pub fn price_ps(
         &self,
@@ -242,10 +219,6 @@ impl TimeModel {
         clients: &[(usize, u64, u64)],
         starts: &[f64],
     ) -> RoundTiming {
-        let Some(link) = self.link() else {
-            let transfer_s = timemodel::ps_round_time(bw, server, clients);
-            return analytic_timing(bw.len(), starts, transfer_s);
-        };
         let mut flows = Vec::with_capacity(2 * clients.len());
         for (chain, &(w, up, down)) in clients.iter().enumerate() {
             if w == server {
@@ -263,17 +236,17 @@ impl TimeModel {
                     .on_chain(chain),
             );
         }
-        simulated_timing(bw, link, &flows, starts)
+        simulated_timing(bw, self.link(), &flows, starts)
     }
 
     /// Prices a ring all-reduce over `ranks` in order (the PSGD
     /// pattern): `2(m−1)` steps, each moving a `1/(2(m−1))` chunk of
-    /// `bytes_per_worker` over every ring link concurrently. In the
-    /// event-driven model each ring link carries one flow of the full
-    /// per-worker payload paying `2(m−1)` step latencies, released at
-    /// the collective's barrier (the slowest compute). For `m = 2` the
-    /// two ring directions share the single duplex pair, pricing 2× the
-    /// analytic formula.
+    /// `bytes_per_worker` over every ring link concurrently. Each ring
+    /// link carries one flow of the full per-worker payload paying
+    /// `2(m−1)` step latencies, released at the collective's barrier
+    /// (the slowest compute); at zero latency and `m ≥ 3` that is
+    /// `bytes_per_worker / slowest_ring_link`. For `m = 2` the two ring
+    /// directions share the single duplex pair, pricing twice that.
     pub fn price_allreduce(
         &self,
         bw: &BandwidthMatrix,
@@ -281,10 +254,6 @@ impl TimeModel {
         bytes_per_worker: u64,
         starts: &[f64],
     ) -> RoundTiming {
-        let Some(link) = self.link() else {
-            let transfer_s = timemodel::allreduce_ring_time_over(bw, ranks, bytes_per_worker);
-            return analytic_timing(bw.len(), starts, transfer_s);
-        };
         let m = ranks.len();
         let barrier = max_start(starts);
         let mut flows = Vec::with_capacity(m);
@@ -298,19 +267,17 @@ impl TimeModel {
                 );
             }
         }
-        simulated_timing(bw, link, &flows, starts)
+        simulated_timing(bw, self.link(), &flows, starts)
     }
 
     /// Prices a sparse allgather over `ranks` (the TopK-PSGD pattern):
-    /// every worker delivers `bytes` to each of the other `m−1`. The
-    /// analytic model conservatively gates all `m−1` chunks on the
-    /// slowest mesh link; the event-driven model serializes each
-    /// sender's `m−1` transfers on a chain (a node sends to one peer at
-    /// a time) using the shifted schedule `k ↦ (i+k+1) mod m`, released
-    /// at the collective's barrier. On heterogeneous meshes it usually
-    /// prices *under* the analytic bound, and never beyond 2× of it
-    /// (each pair carries exactly one transfer per direction, so fair
-    /// sharing at worst halves a link).
+    /// every worker delivers `bytes` to each of the other `m−1`. Each
+    /// sender's `m−1` transfers run on a chain (a node sends to one peer
+    /// at a time) using the shifted schedule `k ↦ (i+k+1) mod m`,
+    /// released at the collective's barrier. Each pair carries exactly
+    /// one transfer per direction, so fair sharing at worst halves a
+    /// link: at zero latency the round lies between the slowest
+    /// sender's chain `max_i Σ_j bytes/bw(i,j)` and twice it.
     pub fn price_allgather(
         &self,
         bw: &BandwidthMatrix,
@@ -318,10 +285,6 @@ impl TimeModel {
         bytes: u64,
         starts: &[f64],
     ) -> RoundTiming {
-        let Some(link) = self.link() else {
-            let transfer_s = timemodel::allgather_time_over(bw, ranks, bytes);
-            return analytic_timing(bw.len(), starts, transfer_s);
-        };
         let m = ranks.len();
         let barrier = max_start(starts);
         let mut flows = Vec::with_capacity(m.saturating_sub(1) * m);
@@ -337,7 +300,7 @@ impl TimeModel {
                 }
             }
         }
-        simulated_timing(bw, link, &flows, starts)
+        simulated_timing(bw, self.link(), &flows, starts)
     }
 }
 
@@ -373,23 +336,28 @@ mod tests {
         let ranks = [0usize, 1, 2, 3];
         let clients = [(0usize, 1_000_000u64, 1_000_000u64), (1, 500_000, 500_000)];
         let des = TimeModel::event_driven(0.0);
-        let pkt = TimeModel::packet(PacketConfig::ideal());
-        assert_eq!(
-            pkt.price_p2p(&bw, &transfers, &[]),
-            des.price_p2p(&bw, &transfers, &[]),
-        );
-        assert_eq!(
-            pkt.price_ps(&bw, 2, &clients, &[]),
-            des.price_ps(&bw, 2, &clients, &[]),
-        );
-        assert_eq!(
-            pkt.price_allreduce(&bw, &ranks, 8_000_000, &[]),
-            des.price_allreduce(&bw, &ranks, 8_000_000, &[]),
-        );
-        assert_eq!(
-            pkt.price_allgather(&bw, &ranks, 1_000_000, &[]),
-            des.price_allgather(&bw, &ranks, 1_000_000, &[]),
-        );
+        // The default model is the same engine run: ideal links, no latency.
+        for other in [
+            TimeModel::packet(PacketConfig::ideal()),
+            TimeModel::default(),
+        ] {
+            assert_eq!(
+                other.price_p2p(&bw, &transfers, &[]),
+                des.price_p2p(&bw, &transfers, &[]),
+            );
+            assert_eq!(
+                other.price_ps(&bw, 2, &clients, &[]),
+                des.price_ps(&bw, 2, &clients, &[]),
+            );
+            assert_eq!(
+                other.price_allreduce(&bw, &ranks, 8_000_000, &[]),
+                des.price_allreduce(&bw, &ranks, 8_000_000, &[]),
+            );
+            assert_eq!(
+                other.price_allgather(&bw, &ranks, 1_000_000, &[]),
+                des.price_allgather(&bw, &ranks, 1_000_000, &[]),
+            );
+        }
     }
 
     #[test]
@@ -415,6 +383,9 @@ mod tests {
 
     #[test]
     fn p2p_zero_latency_matches_analytic() {
+        // The round lasts as long as its slowest pair, and the two
+        // directions of a pair share its bandwidth. Pair (0,1): 20 MB
+        // over 10 MB/s = 2 s; pair (2,3): 2 MB over 1 MB/s = 2 s.
         let mut bw = BandwidthMatrix::constant(4, 10.0);
         bw.set(2, 3, 1.0);
         let transfers = [
@@ -423,10 +394,42 @@ mod tests {
             (2, 3, 1_000_000),
             (3, 2, 1_000_000),
         ];
-        let a = TimeModel::Analytic.price_p2p(&bw, &transfers, &[]);
-        let d = TimeModel::event_driven(0.0).price_p2p(&bw, &transfers, &[]);
-        approx(d.transfer_s, a.transfer_s);
+        let d = TimeModel::default().price_p2p(&bw, &transfers, &[]);
+        approx(d.transfer_s, 2.0);
         approx(d.total_s, 2.0);
+    }
+
+    #[test]
+    fn p2p_zero_bandwidth_is_infinite() {
+        let bw = BandwidthMatrix::constant(2, 0.0);
+        for transfers in [vec![(0, 1, 1)], vec![(0, 1, u64::MAX), (1, 0, u64::MAX)]] {
+            let d = TimeModel::default().price_p2p(&bw, &transfers, &[]);
+            assert_eq!(d.transfer_s, f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn p2p_empty_round_is_zero() {
+        let bw = BandwidthMatrix::constant(2, 1.0);
+        assert_eq!(TimeModel::default().price_p2p(&bw, &[], &[]).total_s, 0.0);
+    }
+
+    #[test]
+    fn p2p_huge_transfers_price_finite() {
+        // Byte counts enter the engine as f64, so two near-max transfers
+        // on one pair can neither wrap nor overflow: they price as an
+        // enormous finite time, never below one of them alone.
+        let bw = BandwidthMatrix::constant(2, 1.0);
+        let model = TimeModel::default();
+        let both = model.price_p2p(&bw, &[(0, 1, u64::MAX - 1), (1, 0, u64::MAX - 1)], &[]);
+        let single = model.price_p2p(&bw, &[(0, 1, u64::MAX - 1)], &[]);
+        assert!(both.transfer_s.is_finite());
+        assert!(
+            both.transfer_s >= single.transfer_s,
+            "two transfers {} priced below one {}",
+            both.transfer_s,
+            single.transfer_s
+        );
     }
 
     #[test]
@@ -448,47 +451,45 @@ mod tests {
             (3, 2, 1_000_000),
         ];
         let starts = [0.0, 0.0, 0.0, 2.0];
-        let d = TimeModel::event_driven(0.0).price_p2p(&bw, &transfers, &starts);
+        let d = TimeModel::default().price_p2p(&bw, &transfers, &starts);
         // Pair (0,1) finishes at 2.0; pair (2,3) runs from 2.0 to 4.0.
         approx(d.total_s, 4.0);
         approx(d.compute_s, 2.0);
         approx(d.transfer_s, 2.0);
         assert!(d.idle_s > 0.0);
-        // The analytic model barriers: compute 2.0 + transfer 2.0.
-        let a = TimeModel::Analytic.price_p2p(&bw, &transfers, &starts);
-        approx(a.total_s, 4.0);
-        approx(a.compute_s, 2.0);
     }
 
     #[test]
     fn ps_zero_latency_matches_analytic() {
+        // The slowest client gates the round: worker 0 moves 2 MB over
+        // its 1 MB/s link to server 2 (2 s), worker 1 takes 0.2 s.
         let mut bw = BandwidthMatrix::constant(3, 10.0);
         bw.set(0, 2, 1.0);
         let clients = [
             (0usize, 1_000_000u64, 1_000_000u64),
             (1, 1_000_000, 1_000_000),
         ];
-        let a = TimeModel::Analytic.price_ps(&bw, 2, &clients, &[]);
-        let d = TimeModel::event_driven(0.0).price_ps(&bw, 2, &clients, &[]);
-        approx(d.transfer_s, a.transfer_s);
+        let d = TimeModel::default().price_ps(&bw, 2, &clients, &[]);
+        approx(d.transfer_s, 2.0);
         approx(d.total_s, 2.0);
     }
 
     #[test]
     fn ps_colocated_client_is_free() {
         let bw = BandwidthMatrix::constant(2, 1.0);
-        let d = TimeModel::event_driven(0.0).price_ps(&bw, 0, &[(0, 1_000_000, 1_000_000)], &[]);
+        let d = TimeModel::default().price_ps(&bw, 0, &[(0, 1_000_000, 1_000_000)], &[]);
         assert_eq!(d.total_s, 0.0);
     }
 
     #[test]
     fn allreduce_zero_latency_matches_analytic() {
+        // The slowest ring link gates every step: 8 MB over the 2 MB/s
+        // link 1-2 takes 4 s.
         let mut bw = BandwidthMatrix::constant(4, 10.0);
         bw.set(1, 2, 2.0);
         let ranks = [0usize, 1, 2, 3];
-        let a = TimeModel::Analytic.price_allreduce(&bw, &ranks, 8_000_000, &[]);
-        let d = TimeModel::event_driven(0.0).price_allreduce(&bw, &ranks, 8_000_000, &[]);
-        approx(d.transfer_s, a.transfer_s);
+        let d = TimeModel::default().price_allreduce(&bw, &ranks, 8_000_000, &[]);
+        approx(d.transfer_s, 4.0);
         approx(d.total_s, 4.0);
     }
 
@@ -504,43 +505,47 @@ mod tests {
 
     #[test]
     fn allgather_constant_mesh_matches_analytic() {
-        // On a homogeneous mesh the serialized-sender schedule hits the
-        // analytic (m−1)·bytes/bw exactly.
+        // On a homogeneous mesh every sender's chain is (m−1)·bytes/bw:
+        // 4 peers × 1 MB over 1 MB/s.
         let bw = BandwidthMatrix::constant(5, 1.0);
         let ranks = [0usize, 1, 2, 3, 4];
-        let a = TimeModel::Analytic.price_allgather(&bw, &ranks, 1_000_000, &[]);
-        let d = TimeModel::event_driven(0.0).price_allgather(&bw, &ranks, 1_000_000, &[]);
-        approx(d.transfer_s, a.transfer_s);
+        let d = TimeModel::default().price_allgather(&bw, &ranks, 1_000_000, &[]);
+        approx(d.transfer_s, 4.0);
     }
 
     #[test]
     fn allgather_heterogeneous_mesh_undercuts_analytic() {
+        // One slow link (0,1) at 1 MB/s in a 10 MB/s mesh. Gating all
+        // four chunks of every sender on that link, as a slowest-link
+        // formula would, charges 4 s. The engine slows only the two
+        // flows that use it: senders 0 and 1 each need 1 s + 3 × 0.1 s,
+        // and the round lands between that chain and twice it (2 s:
+        // the two directions of (0,1) overlap for a while).
         let mut bw = BandwidthMatrix::constant(5, 10.0);
         bw.set(0, 1, 1.0);
         let ranks = [0usize, 1, 2, 3, 4];
-        let a = TimeModel::Analytic.price_allgather(&bw, &ranks, 1_000_000, &[]);
-        let d = TimeModel::event_driven(0.0).price_allgather(&bw, &ranks, 1_000_000, &[]);
+        let d = TimeModel::default().price_allgather(&bw, &ranks, 1_000_000, &[]);
         assert!(
-            d.transfer_s <= a.transfer_s + 1e-9,
-            "des {} > analytic {}",
-            d.transfer_s,
-            a.transfer_s
+            d.transfer_s >= 1.3 - 1e-9 && d.transfer_s <= 2.6 + 1e-9,
+            "allgather priced {} s, outside its sender-chain bounds [1.3, 2.6]",
+            d.transfer_s
         );
     }
 
     #[test]
     fn degenerate_collectives_are_zero() {
         let bw = BandwidthMatrix::constant(1, 5.0);
-        let d = TimeModel::event_driven(0.1);
-        assert_eq!(d.price_allreduce(&bw, &[0], 100, &[]).total_s, 0.0);
-        assert_eq!(d.price_allgather(&bw, &[0], 100, &[]).total_s, 0.0);
+        for model in [TimeModel::default(), TimeModel::event_driven(0.1)] {
+            assert_eq!(model.price_allreduce(&bw, &[0], 100, &[]).total_s, 0.0);
+            assert_eq!(model.price_allgather(&bw, &[0], 100, &[]).total_s, 0.0);
+        }
     }
 
     #[test]
     fn timing_identity_holds() {
         let bw = BandwidthMatrix::constant(3, 1.0);
         let starts = [0.5, 1.0, 0.0];
-        for model in [TimeModel::Analytic, TimeModel::event_driven(0.02)] {
+        for model in [TimeModel::default(), TimeModel::event_driven(0.02)] {
             let t = model.price_p2p(&bw, &[(0, 1, 500_000)], &starts);
             approx(t.total_s, t.compute_s + t.transfer_s);
         }

@@ -12,15 +12,13 @@
 //!   Fig. 1;
 //! * [`TrafficAccountant`] — exact per-worker / per-round byte counting
 //!   (the source of every traffic number in Table IV and Fig. 4);
-//! * [`timemodel`] — closed-form transfer-time models for peer-to-peer
-//!   rounds, parameter-server rounds and ring all-reduce (the source of
-//!   every "communication time" number in Table IV and Fig. 6);
 //! * [`flows`] + [`des`] — the discrete-event network simulator: one
 //!   flow engine ([`flows::simulate`]) with per-link latency and
 //!   fair-share bandwidth splitting, priced behind the [`TimeModel`]
-//!   switch (`Analytic` keeps the closed forms; `EventDriven` simulates
-//!   latency, contention, stragglers and mid-flight bandwidth changes).
-//!   See `docs/NETWORK_SIM.md`.
+//!   switch (the source of every "communication time" number in Table
+//!   IV and Fig. 6). `Analytic`, the default, runs the engine at zero
+//!   latency — bytes over fair-shared bandwidth; `EventDriven` adds
+//!   per-link latency. See `docs/NETWORK_SIM.md`.
 //! * [`packet`] — the packet-level link dynamics the same engine can
 //!   switch on: per-flow AIMD congestion windows, finite link queues,
 //!   seeded random loss and RTT, selected with [`TimeModel::Packet`].
@@ -51,7 +49,6 @@ pub mod des;
 pub mod dynamics;
 pub mod flows;
 pub mod packet;
-pub mod timemodel;
 mod traffic;
 pub mod workload;
 

@@ -235,6 +235,32 @@ mod tests {
     }
 
     #[test]
+    fn discard_round_restores_every_row() {
+        let mut t = TrafficAccountant::new(3);
+        t.record_p2p(0, 1, 100);
+        t.record_upload(2, 40);
+        t.record_download(2, 60);
+        t.end_round();
+        let rows = |t: &TrafficAccountant| -> Vec<(u64, u64)> {
+            (0..3)
+                .map(|w| (t.worker_sent(w), t.worker_recv(w)))
+                .collect()
+        };
+        let (before, server, rounds) = (rows(&t), t.server_total(), t.rounds().to_vec());
+        // A round that bills every row kind, then fails.
+        t.record_p2p(1, 0, 7);
+        t.record_upload(0, 11);
+        t.record_download(1, 13);
+        t.record_control(17);
+        t.discard_round();
+        assert_eq!(rows(&t), before);
+        assert_eq!(t.server_total(), server);
+        assert_eq!(t.rounds(), &rounds[..]);
+        // The next round starts from zero, not from the discarded bytes.
+        assert_eq!(t.end_round(), RoundTraffic::default());
+    }
+
+    #[test]
     fn max_and_mean_worker_total() {
         let mut t = TrafficAccountant::new(2);
         t.record_p2p(0, 1, 100);

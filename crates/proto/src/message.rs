@@ -301,14 +301,9 @@ impl Message {
         }
     }
 
-    /// Which Table I row this message type is billed to. See also
-    /// [`Message::traffic_class_of`] for classifying from a peeked tag.
-    pub fn traffic_class(&self) -> TrafficClass {
-        Self::traffic_class_of(self.tag()).expect("own tag is known")
-    }
-
-    /// [`Message::traffic_class`] keyed by wire tag, for transports that
-    /// meter frames without fully decoding them.
+    /// Which Table I row a message type is billed to, keyed by wire tag
+    /// (`None` for an unknown tag), for transports that meter frames
+    /// without fully decoding them.
     pub fn traffic_class_of(tag: u8) -> Option<TrafficClass> {
         match tag {
             TAG_MASKED_PAYLOAD | TAG_DENSE_PAYLOAD | TAG_SPARSE_PAYLOAD => {

@@ -135,11 +135,6 @@ impl Executor {
         self.threads
     }
 
-    /// Whether more than one thread will be used.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
     /// Applies `f` to every item, fanning out across up to
     /// [`Executor::threads`] scoped threads, and returns the results in
     /// item order.
