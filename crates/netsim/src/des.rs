@@ -33,61 +33,7 @@
 use crate::flows::{simulate, FlowSpec};
 use crate::packet::PacketConfig;
 use crate::BandwidthMatrix;
-
-/// How a round's communication time is computed from its transfer set.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[non_exhaustive]
-pub enum TimeModel {
-    /// The flow engine at zero latency with fluid links
-    /// ([`PacketConfig::ideal`]) — the paper's bandwidth-only
-    /// accounting and the default.
-    #[default]
-    Analytic,
-    /// The analytic model plus a per-link latency: concurrent flows on
-    /// a link still share it fairly ([`crate::flows`]).
-    EventDriven {
-        /// One-way per-link latency in seconds (paid per transfer, or
-        /// per step for multi-step collectives).
-        latency: f64,
-    },
-    /// Packet-level simulation ([`crate::packet`]): the event-driven
-    /// flow sets priced with per-flow AIMD congestion windows, finite
-    /// link queues, seeded random loss and `rtt_s / 2` of one-way
-    /// latency.
-    Packet(PacketConfig),
-}
-
-impl TimeModel {
-    /// An event-driven model with `latency` seconds per link.
-    pub fn event_driven(latency: f64) -> Self {
-        TimeModel::EventDriven { latency }
-    }
-
-    /// A packet-level model with the given link configuration.
-    pub fn packet(cfg: PacketConfig) -> Self {
-        TimeModel::Packet(cfg)
-    }
-
-    /// A short stable name for bench records: `"analytic"`, `"des"` or
-    /// `"packet"`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TimeModel::Analytic => "analytic",
-            TimeModel::EventDriven { .. } => "des",
-            TimeModel::Packet(_) => "packet",
-        }
-    }
-
-    /// What this model hands the flow engine: one-way latency and link
-    /// dynamics.
-    fn link(&self) -> (f64, PacketConfig) {
-        match *self {
-            TimeModel::Analytic => (0.0, PacketConfig::ideal()),
-            TimeModel::EventDriven { latency } => (latency, PacketConfig::ideal()),
-            TimeModel::Packet(cfg) => (cfg.rtt_s / 2.0, cfg),
-        }
-    }
-}
+pub use crate::TimeModel;
 
 /// Critical-path breakdown of one synchronous round.
 ///
@@ -383,8 +329,9 @@ mod tests {
 
     #[test]
     fn p2p_zero_latency_matches_analytic() {
-        // The round lasts as long as its slowest pair, and the two
-        // directions of a pair share its bandwidth. Pair (0,1): 20 MB
+        // At zero latency the event-driven model prices the paper's
+        // numbers: the round lasts as long as its slowest pair, and the
+        // two directions of a pair share its bandwidth. Pair (0,1): 20 MB
         // over 10 MB/s = 2 s; pair (2,3): 2 MB over 1 MB/s = 2 s.
         let mut bw = BandwidthMatrix::constant(4, 10.0);
         bw.set(2, 3, 1.0);
@@ -394,24 +341,9 @@ mod tests {
             (2, 3, 1_000_000),
             (3, 2, 1_000_000),
         ];
-        let d = TimeModel::default().price_p2p(&bw, &transfers, &[]);
+        let d = TimeModel::event_driven(0.0).price_p2p(&bw, &transfers, &[]);
         approx(d.transfer_s, 2.0);
         approx(d.total_s, 2.0);
-    }
-
-    #[test]
-    fn p2p_zero_bandwidth_is_infinite() {
-        let bw = BandwidthMatrix::constant(2, 0.0);
-        for transfers in [vec![(0, 1, 1)], vec![(0, 1, u64::MAX), (1, 0, u64::MAX)]] {
-            let d = TimeModel::default().price_p2p(&bw, &transfers, &[]);
-            assert_eq!(d.transfer_s, f64::INFINITY);
-        }
-    }
-
-    #[test]
-    fn p2p_empty_round_is_zero() {
-        let bw = BandwidthMatrix::constant(2, 1.0);
-        assert_eq!(TimeModel::default().price_p2p(&bw, &[], &[]).total_s, 0.0);
     }
 
     #[test]
@@ -469,7 +401,7 @@ mod tests {
             (0usize, 1_000_000u64, 1_000_000u64),
             (1, 1_000_000, 1_000_000),
         ];
-        let d = TimeModel::default().price_ps(&bw, 2, &clients, &[]);
+        let d = TimeModel::event_driven(0.0).price_ps(&bw, 2, &clients, &[]);
         approx(d.transfer_s, 2.0);
         approx(d.total_s, 2.0);
     }
@@ -477,7 +409,7 @@ mod tests {
     #[test]
     fn ps_colocated_client_is_free() {
         let bw = BandwidthMatrix::constant(2, 1.0);
-        let d = TimeModel::default().price_ps(&bw, 0, &[(0, 1_000_000, 1_000_000)], &[]);
+        let d = TimeModel::event_driven(0.0).price_ps(&bw, 0, &[(0, 1_000_000, 1_000_000)], &[]);
         assert_eq!(d.total_s, 0.0);
     }
 
@@ -488,7 +420,7 @@ mod tests {
         let mut bw = BandwidthMatrix::constant(4, 10.0);
         bw.set(1, 2, 2.0);
         let ranks = [0usize, 1, 2, 3];
-        let d = TimeModel::default().price_allreduce(&bw, &ranks, 8_000_000, &[]);
+        let d = TimeModel::event_driven(0.0).price_allreduce(&bw, &ranks, 8_000_000, &[]);
         approx(d.transfer_s, 4.0);
         approx(d.total_s, 4.0);
     }
@@ -509,7 +441,7 @@ mod tests {
         // 4 peers × 1 MB over 1 MB/s.
         let bw = BandwidthMatrix::constant(5, 1.0);
         let ranks = [0usize, 1, 2, 3, 4];
-        let d = TimeModel::default().price_allgather(&bw, &ranks, 1_000_000, &[]);
+        let d = TimeModel::event_driven(0.0).price_allgather(&bw, &ranks, 1_000_000, &[]);
         approx(d.transfer_s, 4.0);
     }
 
@@ -535,10 +467,9 @@ mod tests {
     #[test]
     fn degenerate_collectives_are_zero() {
         let bw = BandwidthMatrix::constant(1, 5.0);
-        for model in [TimeModel::default(), TimeModel::event_driven(0.1)] {
-            assert_eq!(model.price_allreduce(&bw, &[0], 100, &[]).total_s, 0.0);
-            assert_eq!(model.price_allgather(&bw, &[0], 100, &[]).total_s, 0.0);
-        }
+        let d = TimeModel::event_driven(0.1);
+        assert_eq!(d.price_allreduce(&bw, &[0], 100, &[]).total_s, 0.0);
+        assert_eq!(d.price_allgather(&bw, &[0], 100, &[]).total_s, 0.0);
     }
 
     #[test]

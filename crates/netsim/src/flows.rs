@@ -24,7 +24,7 @@
 //! so two simulations of the same inputs produce bit-identical
 //! [`SimReport`]s.
 //!
-//! The higher-level [`crate::des::TimeModel`] builds flow sets for the
+//! The higher-level [`crate::TimeModel`] builds flow sets for the
 //! four communication patterns of the paper and prices them through
 //! [`simulate`]; use this module directly for custom traffic patterns or
 //! for mid-flight bandwidth changes (congestion hitting a round that is

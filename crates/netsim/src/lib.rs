@@ -49,10 +49,12 @@ pub mod des;
 pub mod dynamics;
 pub mod flows;
 pub mod packet;
+mod timemodel;
 mod traffic;
 pub mod workload;
 
 pub use bandwidth::BandwidthMatrix;
-pub use des::{RoundTiming, TimeModel};
+pub use des::RoundTiming;
 pub use packet::PacketConfig;
+pub use timemodel::TimeModel;
 pub use traffic::{to_mb, RoundTraffic, TrafficAccountant};
